@@ -254,11 +254,10 @@ fn main() {
     assert_eq!(wide_space.len(), 1_000);
     let mut per_thread: Vec<(String, u128)> = Vec::new();
     for threads in [1usize, 2, 4, 8] {
-        let ns = median_ns(iters, || {
-            black_box(
-                evaluate_space_with_threads(black_box(&wide_space), &task, &model, threads)
-                    .unwrap(),
-            );
+        let ns = cordoba_par::with_threads(threads, || {
+            median_ns(iters, || {
+                black_box(evaluate_space(black_box(&wide_space), &task, &model).unwrap());
+            })
         });
         results.push((format!("scaling/evaluate_space_1000/threads={threads}"), ns));
         per_thread.push((format!("{threads}"), ns));
@@ -283,19 +282,19 @@ fn main() {
     // interleaved so both arms see the same machine phases. Both run on one
     // worker: the ratio isolates the batch layout's effect (hoisted tuning
     // derivation, no per-config table allocation) from thread fan-out.
-    let (scalar_ns, batch_ns) = paired_median_ns(
-        iters,
-        || {
-            for config in &wide_space {
-                black_box(accel_design_point(black_box(config), &task, &model).unwrap());
-            }
-        },
-        || {
-            black_box(
-                evaluate_space_with_threads(black_box(&wide_space), &task, &model, 1).unwrap(),
-            );
-        },
-    );
+    let (scalar_ns, batch_ns) = cordoba_par::with_threads(1, || {
+        paired_median_ns(
+            iters,
+            || {
+                for config in &wide_space {
+                    black_box(accel_design_point(black_box(config), &task, &model).unwrap());
+                }
+            },
+            || {
+                black_box(evaluate_space(black_box(&wide_space), &task, &model).unwrap());
+            },
+        )
+    });
     results.push((
         "scaling/evaluate_space_1000/scalar_per_config".to_owned(),
         scalar_ns,
@@ -311,17 +310,15 @@ fn main() {
     // Seed-space guard: auto must not lose to an explicit single thread on
     // the 121-config space (the BENCH_6 regression this group exists to
     // prevent). Interleaved for the same shared-machine reason as above.
-    let auto_workers = cordoba_par::effective_threads();
     let (seed_one_ns, seed_auto_ns) = paired_median_ns(
         iters * 3,
         || {
-            black_box(evaluate_space_with_threads(black_box(&configs), &task, &model, 1).unwrap());
+            cordoba_par::with_threads(1, || {
+                black_box(evaluate_space(black_box(&configs), &task, &model).unwrap());
+            });
         },
         || {
-            black_box(
-                evaluate_space_with_threads(black_box(&configs), &task, &model, auto_workers)
-                    .unwrap(),
-            );
+            black_box(evaluate_space(black_box(&configs), &task, &model).unwrap());
         },
     );
     results.push((
@@ -437,24 +434,14 @@ fn main() {
     let wide_points: Vec<_> = std::iter::repeat_n(points.clone(), 8).flatten().collect();
     for (label, threads) in thread_modes {
         cordoba_par::set_threads(threads);
-        let workers = cordoba_par::effective_threads();
         let (plain, supervised) = paired_median_ns(
             iters * 3,
             || {
-                black_box(
-                    evaluate_space_with_threads(black_box(&configs), &task, &model, workers)
-                        .unwrap(),
-                );
+                black_box(evaluate_space(black_box(&configs), &task, &model).unwrap());
             },
             || {
                 let sup = Supervisor::unbounded();
-                let eval = evaluate_space_supervised_with_threads(
-                    black_box(&configs),
-                    &task,
-                    &model,
-                    &sup,
-                    workers,
-                );
+                let eval = evaluate_space_supervised(black_box(&configs), &task, &model, &sup);
                 black_box(eval.is_complete());
             },
         );
@@ -596,14 +583,8 @@ fn main() {
             format!("uncertainty/source_mc_256/sampled_10000/{label}"),
             median_ns(heavy_iters, || {
                 black_box(
-                    monte_carlo_source_tcdp_sampled_with_threads(
-                        black_box(&point),
-                        &sources,
-                        &spec,
-                        10_000,
-                        cordoba_par::effective_threads(),
-                    )
-                    .unwrap(),
+                    monte_carlo_source_tcdp_sampled(black_box(&point), &sources, &spec, 10_000)
+                        .unwrap(),
                 );
             }),
         ));

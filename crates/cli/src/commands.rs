@@ -119,23 +119,30 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
         return Ok(USAGE.to_owned());
     };
     let args = Args::parse(argv[1..].iter().cloned());
-    apply_threads(&args)?;
-    let obs = ObsOptions::from_args(&args);
+    match parse_threads(&args)? {
+        Some(threads) => cordoba_par::with_threads(threads.get(), || dispatch(command, &args)),
+        None => dispatch(command, &args),
+    }
+}
+
+/// Runs one command with the global observability options applied.
+fn dispatch(command: &str, args: &Args) -> Result<String, CliError> {
+    let obs = ObsOptions::from_args(args);
     obs.enable();
-    let result = match command.as_str() {
-        "metrics" => cmd_metrics(&args),
-        "dse" => cmd_dse(&args),
-        "provision" => cmd_provision(&args),
-        "stacking" => cmd_stacking(&args),
-        "eliminate" => cmd_eliminate(&args),
-        "doctor" => cmd_doctor(&args),
-        "trace-check" => cmd_trace_check(&args),
-        "profile" => cmd_profile(&args),
-        "replay" => cmd_replay(&args),
-        "cache" => cmd_cache(&args),
-        "kernels" => cmd_kernels(&args),
-        "tasks" => cmd_tasks(&args),
-        "grids" => cmd_grids(&args),
+    let result = match command {
+        "metrics" => cmd_metrics(args),
+        "dse" => cmd_dse(args),
+        "provision" => cmd_provision(args),
+        "stacking" => cmd_stacking(args),
+        "eliminate" => cmd_eliminate(args),
+        "doctor" => cmd_doctor(args),
+        "trace-check" => cmd_trace_check(args),
+        "profile" => cmd_profile(args),
+        "replay" => cmd_replay(args),
+        "cache" => cmd_cache(args),
+        "kernels" => cmd_kernels(args),
+        "tasks" => cmd_tasks(args),
+        "grids" => cmd_grids(args),
         "help" | "--help" | "-h" => Ok(USAGE.to_owned()),
         other => Err(CliError::Usage(format!(
             "unknown command `{other}`; run `cordoba help`"
@@ -233,22 +240,22 @@ impl ObsOptions {
     }
 }
 
-/// Applies the global `--threads <N>` option: caps the process-wide worker
-/// pool every parallel sweep draws from. Absent means all available cores.
-fn apply_threads(args: &Args) -> Result<(), CliError> {
+/// Parses the global `--threads <N>` option: the worker count every
+/// parallel sweep of this one command draws from. Absent means the
+/// process default (all available cores unless [`cordoba_par::set_threads`]
+/// says otherwise).
+fn parse_threads(args: &Args) -> Result<Option<std::num::NonZeroUsize>, CliError> {
     let Some(raw) = args.get("threads") else {
-        return Ok(());
+        return Ok(None);
     };
-    let threads: Option<std::num::NonZeroUsize> = raw.parse().ok();
-    if threads.is_none() {
-        return Err(CliError::Args(ArgError::InvalidValue {
+    match raw.parse() {
+        Ok(threads) => Ok(Some(threads)),
+        Err(_) => Err(CliError::Args(ArgError::InvalidValue {
             key: "threads".to_owned(),
             value: raw.to_owned(),
             expected: "a positive integer",
-        }));
+        })),
     }
-    cordoba_par::set_threads(threads);
-    Ok(())
 }
 
 /// Parses a human-readable duration: a non-negative number with an
@@ -1111,7 +1118,8 @@ fn doctor_self_check(out: &mut String) -> Result<(), CliError> {
             "UNEXPECTED (see counters above)"
         }
     );
-    doctor_supervision(out)?;
+    // One worker, so the tripped supervisor stops at an exact row.
+    cordoba_par::with_threads(1, || doctor_supervision(out))?;
     doctor_prometheus(out);
     Ok(())
 }
@@ -1193,12 +1201,11 @@ fn doctor_supervision(out: &mut String) -> Result<(), CliError> {
     let rows = counts.len();
 
     // A zero-budget deadline must interrupt before any row.
-    let deadline_ok = op_time_sweep_supervised_with_threads(
+    let deadline_ok = op_time_sweep_supervised(
         points.clone(),
         counts.clone(),
         grids::US_AVERAGE,
         &Supervisor::with_deadline(Duration::ZERO),
-        1,
     )?
     .partial()
     .is_some_and(|p| p.checkpoint.completed_rows() == 0);
@@ -1214,13 +1221,12 @@ fn doctor_supervision(out: &mut String) -> Result<(), CliError> {
 
     // Interrupt mid-sweep, round-trip the checkpoint through its text
     // form, resume, and demand the uninterrupted sweep's exact bits.
-    let direct = OpTimeSweep::with_threads(points.clone(), counts.clone(), grids::US_AVERAGE, 1)?;
-    let partial = op_time_sweep_supervised_with_threads(
+    let direct = OpTimeSweep::new(points.clone(), counts.clone(), grids::US_AVERAGE)?;
+    let partial = op_time_sweep_supervised(
         points,
         counts,
         grids::US_AVERAGE,
         &Supervisor::tripping_after(u64::try_from(rows / 2).unwrap_or(1)),
-        1,
     )?
     .partial();
     let (roundtrip_ok, resume_ok) = match partial {
@@ -1228,7 +1234,7 @@ fn doctor_supervision(out: &mut String) -> Result<(), CliError> {
             let restored = SweepCheckpoint::from_text(&p.checkpoint.to_text()).ok();
             let roundtrip = restored.as_ref() == Some(&p.checkpoint);
             let resumed = restored
-                .and_then(|c| c.resume_with_threads(&Supervisor::unbounded(), 1).ok())
+                .and_then(|c| c.resume(&Supervisor::unbounded()).ok())
                 .and_then(SupervisedSweep::complete);
             (roundtrip, resumed.as_ref() == Some(&direct))
         }
@@ -1253,7 +1259,7 @@ fn doctor_supervision(out: &mut String) -> Result<(), CliError> {
     // quarantined outcome with the process intact and its peers computed.
     install_panic_probe_filter();
     let items = [0u32, 1, 2];
-    let run = cordoba_par::par_map_supervised_with(&items, 1, &Supervisor::unbounded(), |_, &x| {
+    let run = cordoba_par::par_map_supervised(&items, &Supervisor::unbounded(), |_, &x| {
         if x == 1 {
             // Deliberate: this probe exists to prove panics are isolated.
             panic!("{PANIC_PROBE} deliberate probe panic"); // cordoba-lint: allow(no-panic)
@@ -1659,7 +1665,17 @@ mod tests {
     #[test]
     fn threads_option_is_global_and_validated() {
         // Accepted on any command; results are thread-count invariant.
+        let threads = || {
+            (
+                cordoba_par::configured_threads(),
+                cordoba_par::effective_threads(),
+            )
+        };
+        let before = threads();
         let capped = run_str("provision --app m1 --threads 2").unwrap();
+        // The count is scoped to that one command: nothing leaks into
+        // later calls in the same process.
+        assert_eq!(threads(), before);
         let auto = run_str("provision --app m1").unwrap();
         assert_eq!(capped, auto);
         // Zero and non-numeric counts are rejected up front.

@@ -24,9 +24,9 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
-/// Wall-clock distribution of [`evaluate_space_with_threads`] calls.
+/// Wall-clock distribution of [`evaluate_space`] calls.
 static EVALUATE_SPACE_NS: Histogram = Histogram::new("core/evaluate_space_ns");
-/// Wall-clock distribution of [`OpTimeSweep::with_threads`] calls.
+/// Wall-clock distribution of [`OpTimeSweep::new`] calls.
 static OP_TIME_SWEEP_NS: Histogram = Histogram::new("core/op_time_sweep_ns");
 
 /// Estimated cost of characterizing one configuration through the batch
@@ -134,27 +134,10 @@ pub fn evaluate_space(
     task: &Task,
     embodied: &EmbodiedModel,
 ) -> Result<Vec<DesignPoint>, CoreError> {
-    evaluate_space_with_threads(configs, task, embodied, cordoba_par::effective_threads())
-}
-
-/// [`evaluate_space`] with an explicit worker-thread count (1 = the exact
-/// sequential path). Results are identical at every thread count.
-///
-/// # Errors
-///
-/// Propagates the error of the first (in input order) invalid
-/// configuration (see [`accel_design_point`]).
-pub fn evaluate_space_with_threads(
-    configs: &[AcceleratorConfig],
-    task: &Task,
-    embodied: &EmbodiedModel,
-    threads: usize,
-) -> Result<Vec<DesignPoint>, CoreError> {
     let _span = cordoba_obs::span_timed("core/evaluate_space", &EVALUATE_SPACE_NS);
     let batch = EvalBatch::new(configs, task, embodied);
     cordoba_par::try_par_map_indexed_hinted(
         configs,
-        threads,
         CostHint::per_item_ns(EVAL_NS_PER_CONFIG),
         |idx, _| batch.design_point(idx),
     )
@@ -197,11 +180,8 @@ pub fn evaluate_space_multi(
         .expect("slab was built from the tasks' own kernels"); // cordoba-lint: allow(no-panic)
     let batch = ConfigBatch::new(configs);
     let hint = CostHint::per_item_ns(EVAL_NS_PER_CONFIG.saturating_mul(tasks.len().max(1) as u64));
-    let per_config: Vec<Vec<DesignPoint>> = cordoba_par::try_par_map_indexed_hinted(
-        configs,
-        cordoba_par::effective_threads(),
-        hint,
-        |idx, c| {
+    let per_config: Vec<Vec<DesignPoint>> =
+        cordoba_par::try_par_map_indexed_hinted(configs, hint, |idx, c| {
             let costs = batch.slab_costs(idx, &slab);
             let embodied_carbon = cache.embodied(c)?;
             plans
@@ -217,8 +197,7 @@ pub fn evaluate_space_multi(
                     )?)
                 })
                 .collect::<Result<Vec<DesignPoint>, CoreError>>()
-        },
-    )?;
+        })?;
     let mut per_task = vec![Vec::with_capacity(configs.len()); tasks.len()];
     for config_points in per_config {
         for (t, point) in config_points.into_iter().enumerate() {
@@ -277,28 +256,13 @@ pub fn evaluate_space_resilient(
     task: &Task,
     embodied: &EmbodiedModel,
 ) -> ResilientEval {
-    evaluate_space_resilient_with_threads(configs, task, embodied, cordoba_par::effective_threads())
-}
-
-/// [`evaluate_space_resilient`] with an explicit worker-thread count
-/// (1 = the exact sequential path). Results are identical at every thread
-/// count.
-#[must_use]
-pub fn evaluate_space_resilient_with_threads(
-    configs: &[AcceleratorConfig],
-    task: &Task,
-    embodied: &EmbodiedModel,
-    threads: usize,
-) -> ResilientEval {
     let _span = cordoba_obs::span_with(
         "core/evaluate_space_resilient",
         "configs",
         u64::try_from(configs.len()).unwrap_or(u64::MAX),
     );
     let sup = cordoba_par::Supervisor::unbounded();
-    let eval = crate::supervise::evaluate_space_supervised_with_threads(
-        configs, task, embodied, &sup, threads,
-    );
+    let eval = crate::supervise::evaluate_space_supervised(configs, task, embodied, &sup);
     // An unbounded supervisor never stops the map, so every slot resolves.
     eval.to_resilient()
         .expect("unbounded supervised evaluation always completes") // cordoba-lint: allow(no-panic)
@@ -352,27 +316,6 @@ impl OpTimeSweep {
         task_counts: Vec<f64>,
         ci_use: CarbonIntensity,
     ) -> Result<Self, CarbonError> {
-        Self::with_threads(
-            points,
-            task_counts,
-            ci_use,
-            cordoba_par::effective_threads(),
-        )
-    }
-
-    /// [`OpTimeSweep::new`] with an explicit worker-thread count (1 = the
-    /// exact sequential path). Results are identical at every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `task_counts` is empty or contains non-positive
-    /// values, or `points` is empty.
-    pub fn with_threads(
-        points: Vec<DesignPoint>,
-        task_counts: Vec<f64>,
-        ci_use: CarbonIntensity,
-        threads: usize,
-    ) -> Result<Self, CarbonError> {
         let _span = cordoba_obs::span_timed("core/op_time_sweep", &OP_TIME_SWEEP_NS);
         if points.is_empty() {
             return Err(CarbonError::Empty {
@@ -385,7 +328,7 @@ impl OpTimeSweep {
             });
         }
         let hint = CostHint::per_item_ns(TCDP_NS_PER_POINT.saturating_mul(points.len() as u64));
-        if hint.workers(task_counts.len(), threads) == 1 {
+        if hint.workers(task_counts.len(), cordoba_par::effective_threads()) == 1 {
             // Sequential path: stream entries straight into the flat
             // row-major matrix, with no per-row allocation or merge copy.
             let mut tcdp = Vec::with_capacity(points.len() * task_counts.len());
@@ -401,7 +344,7 @@ impl OpTimeSweep {
             });
         }
         let rows: Vec<Vec<f64>> =
-            cordoba_par::try_par_map_indexed_hinted(&task_counts, threads, hint, |_, &n| {
+            cordoba_par::try_par_map_indexed_hinted(&task_counts, hint, |_, &n| {
                 let ctx = OperationalContext::new(n, ci_use)?;
                 Ok(points.iter().map(|p| p.tcdp(&ctx).value()).collect())
             })?;
@@ -412,7 +355,7 @@ impl OpTimeSweep {
     /// checkpoint/resume path), flattening them into the row-major matrix.
     /// Callers guarantee `rows[n][p]` matches `task_counts[n]` ×
     /// `points[p]` — the supervised sweep only produces rows through the
-    /// same per-row computation as [`Self::with_threads`].
+    /// same per-row computation as [`Self::new`].
     pub(crate) fn from_rows(
         points: Vec<DesignPoint>,
         task_counts: Vec<f64>,

@@ -126,32 +126,7 @@ impl BetaSweep {
         tol: f64,
         budget: usize,
     ) -> Result<BetaSolve, CarbonError> {
-        self.solve_transitions_with_threads(
-            beta_lo,
-            beta_hi,
-            tol,
-            budget,
-            cordoba_par::effective_threads(),
-        )
-    }
-
-    /// [`BetaSweep::solve_transitions`] with an explicit worker-thread
-    /// count (1 = fully sequential). Results are identical at every thread
-    /// count.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an empty candidate set, non-finite or negative
-    /// `beta_lo`, `beta_hi <= beta_lo`, or a non-positive `tol`.
-    pub fn solve_transitions_with_threads(
-        &self,
-        beta_lo: f64,
-        beta_hi: f64,
-        tol: f64,
-        budget: usize,
-        threads: usize,
-    ) -> Result<BetaSolve, CarbonError> {
-        self.solve_inner(beta_lo, beta_hi, tol, budget, threads, None)
+        self.solve_inner(beta_lo, beta_hi, tol, budget, None)
     }
 
     /// [`BetaSweep::solve_transitions`] under a [`Supervisor`]: the solver
@@ -160,6 +135,10 @@ impl BetaSweep {
     /// [`BetaSolve::NotConverged`] — exactly the shape budget exhaustion
     /// produces, so callers need no new handling. Each argmin evaluation
     /// counts one unit of supervised progress.
+    ///
+    /// Results are identical at every thread count for a deterministic
+    /// supervisor (unbounded or count-tripped); a wall-clock deadline stops
+    /// at a hardware-dependent wave, but always on a wave boundary.
     ///
     /// # Errors
     ///
@@ -173,36 +152,7 @@ impl BetaSweep {
         budget: usize,
         sup: &Supervisor,
     ) -> Result<BetaSolve, CarbonError> {
-        self.solve_transitions_supervised_with_threads(
-            beta_lo,
-            beta_hi,
-            tol,
-            budget,
-            sup,
-            cordoba_par::effective_threads(),
-        )
-    }
-
-    /// [`BetaSweep::solve_transitions_supervised`] with an explicit
-    /// worker-thread count (1 = fully sequential). Results are identical at
-    /// every thread count for a deterministic supervisor (unbounded or
-    /// count-tripped); a wall-clock deadline stops at a
-    /// hardware-dependent wave, but always on a wave boundary.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an empty candidate set, non-finite or negative
-    /// `beta_lo`, `beta_hi <= beta_lo`, or a non-positive `tol`.
-    pub fn solve_transitions_supervised_with_threads(
-        &self,
-        beta_lo: f64,
-        beta_hi: f64,
-        tol: f64,
-        budget: usize,
-        sup: &Supervisor,
-        threads: usize,
-    ) -> Result<BetaSolve, CarbonError> {
-        self.solve_inner(beta_lo, beta_hi, tol, budget, threads, Some(sup))
+        self.solve_inner(beta_lo, beta_hi, tol, budget, Some(sup))
     }
 
     fn solve_inner(
@@ -211,7 +161,6 @@ impl BetaSweep {
         beta_hi: f64,
         tol: f64,
         budget: usize,
-        threads: usize,
         sup: Option<&Supervisor>,
     ) -> Result<BetaSolve, CarbonError> {
         let _span = cordoba_obs::span_with(
@@ -305,7 +254,7 @@ impl BetaSweep {
                 .iter()
                 .map(|&(lo, _, hi, _)| f64::midpoint(lo, hi))
                 .collect();
-            let mid_args = cordoba_par::par_map_with(&mids, threads, |&beta| argmin(beta));
+            let mid_args = cordoba_par::par_map(&mids, |&beta| argmin(beta));
             evaluations += k;
             if let Some(s) = sup {
                 s.note_completed(u64::try_from(k).unwrap_or(u64::MAX));
@@ -616,13 +565,15 @@ mod tests {
     #[test]
     fn supervised_solver_matches_unsupervised_when_unbounded() {
         let sweep = BetaSweep::run(&candidates());
-        let direct = sweep
-            .solve_transitions_with_threads(0.0, 1e4, 1e-6, 10_000, 2)
-            .unwrap();
+        let direct = cordoba_par::with_threads(2, || {
+            sweep.solve_transitions(0.0, 1e4, 1e-6, 10_000).unwrap()
+        });
         let sup = Supervisor::unbounded();
-        let supervised = sweep
-            .solve_transitions_supervised_with_threads(0.0, 1e4, 1e-6, 10_000, &sup, 2)
-            .unwrap();
+        let supervised = cordoba_par::with_threads(2, || {
+            sweep
+                .solve_transitions_supervised(0.0, 1e4, 1e-6, 10_000, &sup)
+                .unwrap()
+        });
         assert_eq!(supervised, direct);
         assert!(sup.progress().completed >= 2);
     }
@@ -634,17 +585,21 @@ mod tests {
         // evaluations.
         let sup = Supervisor::unbounded();
         sup.cancel();
-        let stopped = sweep
-            .solve_transitions_supervised_with_threads(0.0, 1e4, 1e-6, 10_000, &sup, 1)
-            .unwrap();
+        let stopped = cordoba_par::with_threads(1, || {
+            sweep
+                .solve_transitions_supervised(0.0, 1e4, 1e-6, 10_000, &sup)
+                .unwrap()
+        });
         assert!(!stopped.converged());
         assert!(stopped.transitions().is_empty());
         // Tripped after the endpoint argmins: stops on the first wave
         // boundary with the evaluations spent so far.
         let trip = Supervisor::tripping_after(2);
-        let partial = sweep
-            .solve_transitions_supervised_with_threads(0.0, 1e4, 1e-6, 10_000, &trip, 1)
-            .unwrap();
+        let partial = cordoba_par::with_threads(1, || {
+            sweep
+                .solve_transitions_supervised(0.0, 1e4, 1e-6, 10_000, &trip)
+                .unwrap()
+        });
         match partial {
             BetaSolve::NotConverged { evaluations, .. } => assert_eq!(evaluations, 2),
             BetaSolve::Converged { .. } => panic!("expected NotConverged"),

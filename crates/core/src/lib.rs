@@ -85,8 +85,7 @@ pub mod prelude {
     pub use crate::chart::AsciiChart;
     pub use crate::dse::{
         accel_design_point, evaluate_space, evaluate_space_multi, evaluate_space_resilient,
-        evaluate_space_resilient_with_threads, evaluate_space_with_threads, log_sweep, EvalFailure,
-        OpTimeSweep, ResilientEval,
+        log_sweep, EvalFailure, OpTimeSweep, ResilientEval,
     };
     pub use crate::error::CoreError;
     pub use crate::lagrange::{
@@ -104,15 +103,13 @@ pub mod prelude {
         beta_sweep_stored, evaluate_space_multi_stored, evaluate_space_stored, op_time_sweep_stored,
     };
     pub use crate::supervise::{
-        evaluate_space_supervised, evaluate_space_supervised_with_threads,
-        op_time_sweep_supervised, op_time_sweep_supervised_with_threads, PartialSweep,
-        SupervisedEval, SupervisedSweep, SweepCheckpoint,
+        evaluate_space_supervised, op_time_sweep_supervised, PartialSweep, SupervisedEval,
+        SupervisedSweep, SweepCheckpoint,
     };
     pub use crate::uncertainty::{
         context_for_embodied_share, domain_analysis, monte_carlo_regret,
-        monte_carlo_regret_supervised, monte_carlo_source_tcdp,
-        monte_carlo_source_tcdp_sampled_with_threads, monte_carlo_source_tcdp_supervised,
-        monte_carlo_source_tcdp_with_threads, monte_carlo_tcdp, monte_carlo_tcdp_supervised,
+        monte_carlo_regret_supervised, monte_carlo_source_tcdp, monte_carlo_source_tcdp_sampled,
+        monte_carlo_source_tcdp_supervised, monte_carlo_tcdp, monte_carlo_tcdp_supervised,
         scenario_regret, tcdp_under_source, tcdp_under_source_sampled, DomainAnalysis, DomainClass,
         MonteCarloSpec, MonteCarloSummary, SourceMonteCarloSpec, SupervisedMonteCarlo,
         SupervisedRegret,

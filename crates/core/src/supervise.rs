@@ -9,7 +9,7 @@
 //!
 //! * [`evaluate_space_supervised`] — design-space characterization with
 //!   per-configuration outcomes (done / quarantined / pending) and
-//!   in-place [`SupervisedEval::resume_with_threads`];
+//!   in-place [`SupervisedEval::resume`];
 //! * [`op_time_sweep_supervised`] — the Fig. 8 tCDP grid with row-level
 //!   checkpointing: an interrupted sweep yields a [`PartialSweep`] whose
 //!   [`SweepCheckpoint`] serializes to a deterministic text format
@@ -35,6 +35,7 @@ use cordoba_carbon::units::{CarbonIntensity, Seconds};
 use cordoba_carbon::CarbonError;
 use cordoba_obs::Event;
 use cordoba_par::supervise::{Outcome, StopReason, Supervisor};
+use cordoba_store::{hex_f64, parse_hex_f64};
 use cordoba_workloads::task::Task;
 use std::fmt::Write as _;
 
@@ -133,13 +134,12 @@ impl SupervisedEval {
     ///
     /// Returns [`CoreError::Supervision`] when `configs` does not match the
     /// evaluation this state was created from (length mismatch).
-    pub fn resume_with_threads(
+    pub fn resume(
         &mut self,
         configs: &[AcceleratorConfig],
         task: &Task,
         embodied: &EmbodiedModel,
         sup: &Supervisor,
-        threads: usize,
     ) -> Result<(), CoreError> {
         if configs.len() != self.slots.len() {
             return Err(CoreError::Supervision(format!(
@@ -148,7 +148,7 @@ impl SupervisedEval {
                 self.slots.len()
             )));
         }
-        self.advance(configs, task, embodied, sup, threads);
+        self.advance(configs, task, embodied, sup);
         Ok(())
     }
 
@@ -159,7 +159,6 @@ impl SupervisedEval {
         task: &Task,
         embodied: &EmbodiedModel,
         sup: &Supervisor,
-        threads: usize,
     ) {
         let pending = self.pending_indices();
         if pending.is_empty() {
@@ -173,7 +172,6 @@ impl SupervisedEval {
         let batch = EvalBatch::new(configs, task, embodied);
         let run = cordoba_par::par_map_supervised_hinted(
             &pending,
-            threads,
             cordoba_par::CostHint::per_item_ns(crate::dse::EVAL_NS_PER_CONFIG),
             sup,
             |_, &idx| batch.design_point(idx),
@@ -206,33 +204,13 @@ impl SupervisedEval {
 /// cancellation and deadline checks before every configuration, and panic
 /// isolation — a panicking evaluation is quarantined as an
 /// [`EvalFailure`] with [`CoreError::Panicked`] instead of aborting the
-/// process. Uses [`cordoba_par::effective_threads`] workers.
+/// process. Completed slots are bit-identical at every thread count.
 #[must_use]
 pub fn evaluate_space_supervised(
     configs: &[AcceleratorConfig],
     task: &Task,
     embodied: &EmbodiedModel,
     sup: &Supervisor,
-) -> SupervisedEval {
-    evaluate_space_supervised_with_threads(
-        configs,
-        task,
-        embodied,
-        sup,
-        cordoba_par::effective_threads(),
-    )
-}
-
-/// [`evaluate_space_supervised`] with an explicit worker-thread count
-/// (1 = the exact sequential path). Completed slots are bit-identical at
-/// every thread count.
-#[must_use]
-pub fn evaluate_space_supervised_with_threads(
-    configs: &[AcceleratorConfig],
-    task: &Task,
-    embodied: &EmbodiedModel,
-    sup: &Supervisor,
-    threads: usize,
 ) -> SupervisedEval {
     let _span = cordoba_obs::span_with(
         "core/evaluate_space_supervised",
@@ -243,7 +221,7 @@ pub fn evaluate_space_supervised_with_threads(
         slots: vec![EvalSlot::Pending; configs.len()],
         stop: None,
     };
-    eval.advance(configs, task, embodied, sup, threads);
+    eval.advance(configs, task, embodied, sup);
     eval
 }
 
@@ -251,7 +229,7 @@ pub fn evaluate_space_supervised_with_threads(
 #[derive(Debug, Clone, PartialEq)]
 pub enum SupervisedSweep {
     /// Every row was computed; the sweep is bit-identical to
-    /// [`OpTimeSweep::with_threads`] on the same inputs.
+    /// [`OpTimeSweep::new`] on the same inputs.
     Complete(OpTimeSweep),
     /// The supervisor stopped the sweep; the partial result can be
     /// serialized and resumed.
@@ -320,16 +298,11 @@ pub struct SweepCheckpoint {
 /// Magic first line of the checkpoint format (versioned).
 const CHECKPOINT_HEADER: &str = "cordoba-sweep-checkpoint v1";
 
-/// Renders an `f64` as its exact bit pattern.
-fn hex_f64(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-/// Parses [`hex_f64`] output back to the exact same `f64`.
-fn parse_hex_f64(token: &str, what: &str) -> Result<f64, CoreError> {
-    u64::from_str_radix(token, 16)
-        .map(f64::from_bits)
-        .map_err(|_| CoreError::Supervision(format!("checkpoint: bad {what} value `{token}`")))
+/// Parses one [`hex_f64`] token of field `what`, or names it in a typed
+/// error.
+fn parse_hex_field(token: &str, what: &str) -> Result<f64, CoreError> {
+    parse_hex_f64(token)
+        .ok_or_else(|| CoreError::Supervision(format!("checkpoint: bad {what} value `{token}`")))
 }
 
 impl SweepCheckpoint {
@@ -404,25 +377,20 @@ impl SweepCheckpoint {
     /// Computes the still-pending rows under `sup` and merges by row
     /// index. With a fresh unbounded supervisor this always completes, and
     /// the resulting [`OpTimeSweep`] is bit-identical to an uninterrupted
-    /// [`OpTimeSweep::with_threads`] at any thread count.
+    /// [`OpTimeSweep::new`] at any thread count.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Carbon`] when a pending row's task count is
     /// invalid and [`CoreError::Panicked`] when a row computation panics
     /// (first failing row in input order, either way).
-    pub fn resume_with_threads(
-        mut self,
-        sup: &Supervisor,
-        threads: usize,
-    ) -> Result<SupervisedSweep, CoreError> {
+    pub fn resume(mut self, sup: &Supervisor) -> Result<SupervisedSweep, CoreError> {
         let advance = advance_rows(
             &mut self.rows,
             &self.points,
             &self.task_counts,
             self.ci_use,
             sup,
-            threads,
         )?;
         match advance {
             Advance::CompleteFlat(flat) => {
@@ -452,17 +420,6 @@ impl SweepCheckpoint {
                 }))
             }
         }
-    }
-
-    /// [`resume_with_threads`](Self::resume_with_threads) with
-    /// [`cordoba_par::effective_threads`] workers.
-    ///
-    /// # Errors
-    ///
-    /// See [`resume_with_threads`](Self::resume_with_threads).
-    pub fn resume(self, sup: &Supervisor) -> Result<SupervisedSweep, CoreError> {
-        let threads = cordoba_par::effective_threads();
-        self.resume_with_threads(sup, threads)
     }
 
     /// Serializes the checkpoint to its deterministic text form and
@@ -539,7 +496,7 @@ impl SweepCheckpoint {
         let ci_hex = ci_line
             .strip_prefix("ci_use ")
             .ok_or_else(|| bad(format!("bad ci_use line `{ci_line}`")))?;
-        let ci_use = CarbonIntensity::new(parse_hex_f64(ci_hex, "ci_use")?);
+        let ci_use = CarbonIntensity::new(parse_hex_field(ci_hex, "ci_use")?);
 
         let counts_line = next("task_counts")?;
         let n: usize = counts_line
@@ -555,7 +512,7 @@ impl SweepCheckpoint {
             let hex = line
                 .strip_prefix("c ")
                 .ok_or_else(|| bad(format!("bad count line `{line}`")))?;
-            task_counts.push(parse_hex_f64(hex, "task count")?);
+            task_counts.push(parse_hex_field(hex, "task count")?);
         }
 
         let points_line = next("points")?;
@@ -585,10 +542,10 @@ impl SweepCheckpoint {
             };
             points.push(DesignPoint::new(
                 name,
-                Seconds::new(parse_hex_f64(d, "delay")?),
-                cordoba_carbon::units::Joules::new(parse_hex_f64(e, "energy")?),
-                cordoba_carbon::units::GramsCo2e::new(parse_hex_f64(emb, "embodied")?),
-                cordoba_carbon::units::SquareCentimeters::new(parse_hex_f64(area, "area")?),
+                Seconds::new(parse_hex_field(d, "delay")?),
+                cordoba_carbon::units::Joules::new(parse_hex_field(e, "energy")?),
+                cordoba_carbon::units::GramsCo2e::new(parse_hex_field(emb, "embodied")?),
+                cordoba_carbon::units::SquareCentimeters::new(parse_hex_field(area, "area")?),
             )?);
         }
 
@@ -615,7 +572,7 @@ impl SweepCheckpoint {
                 return Err(bad(format!("duplicate row index {idx}")));
             }
             let values = tokens
-                .map(|tok| parse_hex_f64(tok, "row"))
+                .map(|tok| parse_hex_field(tok, "row"))
                 .collect::<Result<Vec<f64>, CoreError>>()?;
             if values.len() != m {
                 return Err(bad(format!(
@@ -656,7 +613,7 @@ enum Advance {
 
 /// Sequential fast path for a fresh sweep: streams every row straight into
 /// one flat row-major matrix — no per-row allocation and no completion
-/// merge copy, matching the unsupervised [`OpTimeSweep::with_threads`]
+/// merge copy, matching the unsupervised [`OpTimeSweep::new`]
 /// sequential path. Supervision semantics are identical to the chunked
 /// engine at one worker: a stop check before every row, per-row panic
 /// isolation, per-attempt progress accounting, and work continuing past a
@@ -741,7 +698,6 @@ fn advance_rows(
     task_counts: &[f64],
     ci_use: CarbonIntensity,
     sup: &Supervisor,
-    threads: usize,
 ) -> Result<Advance, CoreError> {
     let pending: Vec<usize> = rows
         .iter()
@@ -754,10 +710,12 @@ fn advance_rows(
     let hint = cordoba_par::CostHint::per_item_ns(
         crate::dse::TCDP_NS_PER_POINT.saturating_mul(points.len() as u64),
     );
-    if hint.workers(pending.len(), threads) == 1 && pending.len() == rows.len() {
+    if hint.workers(pending.len(), cordoba_par::effective_threads()) == 1
+        && pending.len() == rows.len()
+    {
         return advance_rows_streaming(rows, points, task_counts, ci_use, sup);
     }
-    let run = cordoba_par::par_map_supervised_hinted(&pending, threads, hint, sup, |_, &idx| {
+    let run = cordoba_par::par_map_supervised_hinted(&pending, hint, sup, |_, &idx| {
         let ctx = OperationalContext::new(task_counts[idx], ci_use)?;
         Ok::<Vec<f64>, CarbonError>(points.iter().map(|p| p.tcdp(&ctx).value()).collect())
     });
@@ -788,8 +746,9 @@ fn advance_rows(
 
 /// Evaluates the Fig. 8 tCDP grid under supervision. A completed run
 /// returns [`SupervisedSweep::Complete`] with a sweep bit-identical to
-/// [`OpTimeSweep::with_threads`]; an interrupted run returns a resumable
-/// [`PartialSweep`]. Uses [`cordoba_par::effective_threads`] workers.
+/// [`OpTimeSweep::new`]; an interrupted run returns a resumable
+/// [`PartialSweep`]. Completed rows are bit-identical at every thread
+/// count.
 ///
 /// # Errors
 ///
@@ -800,29 +759,6 @@ pub fn op_time_sweep_supervised(
     task_counts: Vec<f64>,
     ci_use: CarbonIntensity,
     sup: &Supervisor,
-) -> Result<SupervisedSweep, CoreError> {
-    op_time_sweep_supervised_with_threads(
-        points,
-        task_counts,
-        ci_use,
-        sup,
-        cordoba_par::effective_threads(),
-    )
-}
-
-/// [`op_time_sweep_supervised`] with an explicit worker-thread count (1 =
-/// the exact sequential path). Completed rows are bit-identical at every
-/// thread count.
-///
-/// # Errors
-///
-/// See [`op_time_sweep_supervised`].
-pub fn op_time_sweep_supervised_with_threads(
-    points: Vec<DesignPoint>,
-    task_counts: Vec<f64>,
-    ci_use: CarbonIntensity,
-    sup: &Supervisor,
-    threads: usize,
 ) -> Result<SupervisedSweep, CoreError> {
     let _span = cordoba_obs::span_with(
         "core/op_time_sweep_supervised",
@@ -846,7 +782,7 @@ pub fn op_time_sweep_supervised_with_threads(
         ci_use,
         reason: StopReason::Cancelled,
     };
-    checkpoint.resume_with_threads(sup, threads)
+    checkpoint.resume(sup)
 }
 
 #[cfg(test)]
@@ -869,8 +805,9 @@ mod tests {
         let strict = evaluate_space(&configs, &task, &embodied).unwrap();
         for threads in [1, 2] {
             let sup = Supervisor::unbounded();
-            let eval =
-                evaluate_space_supervised_with_threads(&configs, &task, &embodied, &sup, threads);
+            let eval = cordoba_par::with_threads(threads, || {
+                evaluate_space_supervised(&configs, &task, &embodied, &sup)
+            });
             assert!(eval.is_complete());
             assert!((eval.coverage() - 1.0).abs() < 1e-12);
             let resilient = eval.to_resilient().unwrap();
@@ -887,12 +824,13 @@ mod tests {
         let full = evaluate_space(&configs, &task, &embodied).unwrap();
         for trip in [0u64, 1, 40, 120] {
             let sup = Supervisor::tripping_after(trip);
-            let mut eval =
-                evaluate_space_supervised_with_threads(&configs, &task, &embodied, &sup, 1);
+            let mut eval = cordoba_par::with_threads(1, || {
+                evaluate_space_supervised(&configs, &task, &embodied, &sup)
+            });
             assert_eq!(eval.stop(), Some(StopReason::Cancelled), "trip {trip}");
             assert_eq!(eval.attempted(), trip as usize, "trip {trip}");
             let fresh = Supervisor::unbounded();
-            eval.resume_with_threads(&configs, &task, &embodied, &fresh, 2)
+            cordoba_par::with_threads(2, || eval.resume(&configs, &task, &embodied, &fresh))
                 .unwrap();
             assert!(eval.is_complete());
             assert_eq!(eval.to_resilient().unwrap().points, full);
@@ -905,10 +843,11 @@ mod tests {
         let task = Task::ai_5_kernels();
         let embodied = EmbodiedModel::default();
         let sup = Supervisor::tripping_after(3);
-        let mut eval = evaluate_space_supervised_with_threads(&configs, &task, &embodied, &sup, 1);
-        let err = eval
-            .resume_with_threads(&configs[..5], &task, &embodied, &Supervisor::unbounded(), 1)
-            .unwrap_err();
+        let err = cordoba_par::with_threads(1, || {
+            let mut eval = evaluate_space_supervised(&configs, &task, &embodied, &sup);
+            eval.resume(&configs[..5], &task, &embodied, &Supervisor::unbounded())
+        })
+        .unwrap_err();
         assert!(err.to_string().contains("supervision"));
     }
 
@@ -916,31 +855,29 @@ mod tests {
     fn supervised_sweep_completes_identically() {
         let pts = points();
         let counts = log_sweep(4, 9, 2);
-        let direct =
-            OpTimeSweep::with_threads(pts.clone(), counts.clone(), grids::US_AVERAGE, 2).unwrap();
-        let sup = Supervisor::unbounded();
-        let run = op_time_sweep_supervised_with_threads(pts, counts, grids::US_AVERAGE, &sup, 2)
-            .unwrap()
-            .complete()
-            .unwrap();
-        assert_eq!(run, direct);
+        cordoba_par::with_threads(2, || {
+            let direct = OpTimeSweep::new(pts.clone(), counts.clone(), grids::US_AVERAGE).unwrap();
+            let sup = Supervisor::unbounded();
+            let run = op_time_sweep_supervised(pts, counts, grids::US_AVERAGE, &sup)
+                .unwrap()
+                .complete()
+                .unwrap();
+            assert_eq!(run, direct);
+        });
     }
 
     #[test]
     fn checkpoint_round_trips_bit_exactly_and_resumes() {
         let pts = points();
         let counts = log_sweep(4, 9, 3);
-        let direct =
-            OpTimeSweep::with_threads(pts.clone(), counts.clone(), grids::US_AVERAGE, 1).unwrap();
+        let direct = cordoba_par::with_threads(1, || {
+            OpTimeSweep::new(pts.clone(), counts.clone(), grids::US_AVERAGE).unwrap()
+        });
         for trip in [0u64, 1, 5, 10] {
             let sup = Supervisor::tripping_after(trip);
-            let partial = op_time_sweep_supervised_with_threads(
-                pts.clone(),
-                counts.clone(),
-                grids::US_AVERAGE,
-                &sup,
-                1,
-            )
+            let partial = cordoba_par::with_threads(1, || {
+                op_time_sweep_supervised(pts.clone(), counts.clone(), grids::US_AVERAGE, &sup)
+            })
             .unwrap()
             .partial()
             .unwrap();
@@ -949,11 +886,11 @@ mod tests {
             let text = partial.checkpoint.to_text();
             let restored = SweepCheckpoint::from_text(&text).unwrap();
             assert_eq!(restored, partial.checkpoint);
-            let resumed = restored
-                .resume_with_threads(&Supervisor::unbounded(), 2)
-                .unwrap()
-                .complete()
-                .unwrap();
+            let resumed =
+                cordoba_par::with_threads(2, || restored.resume(&Supervisor::unbounded()))
+                    .unwrap()
+                    .complete()
+                    .unwrap();
             assert_eq!(resumed, direct, "trip {trip}");
             // The resumed sweep stores the flat row-major matrix; rows and
             // scalar lookups must agree with it bit-for-bit.
@@ -982,13 +919,9 @@ mod tests {
     fn checkpoint_rejects_corruption() {
         let pts = points();
         let sup = Supervisor::tripping_after(2);
-        let partial = op_time_sweep_supervised_with_threads(
-            pts,
-            log_sweep(4, 8, 2),
-            grids::US_AVERAGE,
-            &sup,
-            1,
-        )
+        let partial = cordoba_par::with_threads(1, || {
+            op_time_sweep_supervised(pts, log_sweep(4, 8, 2), grids::US_AVERAGE, &sup)
+        })
         .unwrap()
         .partial()
         .unwrap();
@@ -1003,6 +936,24 @@ mod tests {
         if broken != text {
             assert!(SweepCheckpoint::from_text(&broken).is_err());
         }
+        // Hostile value tokens: only exactly 16 hex digits parse.
+        let ci_line = text.lines().nth(2).unwrap();
+        assert!(ci_line.starts_with("ci_use "));
+        let hostile = [
+            "+3ff000000000000",  // sign prefix
+            "3ff00000000000",    // fewer than 16 digits
+            "03ff0000000000000", // 17 digits
+            "3ff000000000000g",  // non-hex digit
+        ];
+        for token in hostile {
+            let broken = text.replacen(ci_line, &format!("ci_use {token}"), 1);
+            match SweepCheckpoint::from_text(&broken) {
+                Err(CoreError::Supervision(msg)) => {
+                    assert!(msg.contains("bad ci_use value"), "{token}: {msg}");
+                }
+                other => panic!("{token}: expected a typed supervision error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1010,13 +961,9 @@ mod tests {
         let pts = points();
         let counts = log_sweep(4, 8, 1);
         let sup = Supervisor::tripping_after(0);
-        let partial = op_time_sweep_supervised_with_threads(
-            pts.clone(),
-            counts.clone(),
-            grids::US_AVERAGE,
-            &sup,
-            1,
-        )
+        let partial = cordoba_par::with_threads(1, || {
+            op_time_sweep_supervised(pts.clone(), counts.clone(), grids::US_AVERAGE, &sup)
+        })
         .unwrap()
         .partial()
         .unwrap();
@@ -1030,29 +977,15 @@ mod tests {
     #[test]
     fn supervised_sweep_validates_inputs() {
         let sup = Supervisor::unbounded();
-        assert!(op_time_sweep_supervised_with_threads(
-            vec![],
-            log_sweep(0, 1, 1),
-            grids::US_AVERAGE,
-            &sup,
-            1
-        )
-        .is_err());
-        assert!(op_time_sweep_supervised_with_threads(
-            points(),
-            vec![],
-            grids::US_AVERAGE,
-            &sup,
-            1
-        )
-        .is_err());
-        assert!(op_time_sweep_supervised_with_threads(
-            points(),
-            vec![-3.0],
-            grids::US_AVERAGE,
-            &sup,
-            1
-        )
-        .is_err());
+        cordoba_par::with_threads(1, || {
+            assert!(
+                op_time_sweep_supervised(vec![], log_sweep(0, 1, 1), grids::US_AVERAGE, &sup)
+                    .is_err()
+            );
+            assert!(op_time_sweep_supervised(points(), vec![], grids::US_AVERAGE, &sup).is_err());
+            assert!(
+                op_time_sweep_supervised(points(), vec![-3.0], grids::US_AVERAGE, &sup).is_err()
+            );
+        });
     }
 }

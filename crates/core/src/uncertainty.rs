@@ -411,8 +411,18 @@ fn summarize(partials: Vec<McPartial>, samples: usize) -> MonteCarloSummary {
     }
 }
 
+/// Moments of one design's tCDP over the scenarios of RNG block `block`:
+/// the per-block kernel of [`monte_carlo_tcdp`] and its supervised twin.
+fn tcdp_block(point: &DesignPoint, spec: &MonteCarloSpec, block: u64) -> McPartial {
+    let mut partial = McPartial::empty();
+    for ctx in spec.block_scenarios(block) {
+        partial.push(point.tcdp(&ctx).value());
+    }
+    partial
+}
+
 /// Samples the tCDP distribution of one design across the spec's scenario
-/// envelope.
+/// envelope. Results are bit-identical at every thread count.
 ///
 /// # Errors
 ///
@@ -421,33 +431,13 @@ pub fn monte_carlo_tcdp(
     point: &DesignPoint,
     spec: &MonteCarloSpec,
 ) -> Result<MonteCarloSummary, CarbonError> {
-    monte_carlo_tcdp_with_threads(point, spec, cordoba_par::effective_threads())
-}
-
-/// [`monte_carlo_tcdp`] with an explicit worker-thread count (1 = fully
-/// sequential). Results are bit-identical at every thread count.
-///
-/// # Errors
-///
-/// Returns an error for a zero-sample spec or invalid scenario bounds.
-pub fn monte_carlo_tcdp_with_threads(
-    point: &DesignPoint,
-    spec: &MonteCarloSpec,
-    threads: usize,
-) -> Result<MonteCarloSummary, CarbonError> {
     let _span = cordoba_obs::span_with(
         "core/monte_carlo_tcdp",
         "samples",
         u64::try_from(spec.samples).unwrap_or(u64::MAX),
     );
     spec.validate()?;
-    let partials = cordoba_par::par_map_with(&spec.blocks(), threads, |&block| {
-        let mut partial = McPartial::empty();
-        for ctx in spec.block_scenarios(block) {
-            partial.push(point.tcdp(&ctx).value());
-        }
-        partial
-    });
+    let partials = cordoba_par::par_map(&spec.blocks(), |&block| tcdp_block(point, spec, block));
     Ok(summarize(partials, spec.samples))
 }
 
@@ -555,9 +545,24 @@ impl SourceMonteCarloSpec {
     }
 }
 
+/// Moments of one design's tCDP over the draws of RNG block `block`: the
+/// per-block kernel of [`monte_carlo_source_tcdp`] and its supervised twin.
+fn source_block(
+    point: &DesignPoint,
+    sources: &[&dyn CiIntegral],
+    spec: &SourceMonteCarloSpec,
+    block: u64,
+) -> McPartial {
+    let mut partial = McPartial::empty();
+    for (idx, tasks, lifetime) in spec.block_draws(block, sources.len()) {
+        partial.push(tcdp_under_source(point, sources[idx], tasks, lifetime));
+    }
+    partial
+}
+
 /// Samples the tCDP distribution of one design across time-varying
 /// intensity sources, using the exact integration kernel for every draw's
-/// lifetime mean.
+/// lifetime mean. Results are bit-identical at every thread count.
 ///
 /// # Errors
 ///
@@ -568,40 +573,20 @@ pub fn monte_carlo_source_tcdp(
     sources: &[&dyn CiIntegral],
     spec: &SourceMonteCarloSpec,
 ) -> Result<MonteCarloSummary, CarbonError> {
-    monte_carlo_source_tcdp_with_threads(point, sources, spec, cordoba_par::effective_threads())
-}
-
-/// [`monte_carlo_source_tcdp`] with an explicit worker-thread count (1 =
-/// fully sequential). Results are bit-identical at every thread count.
-///
-/// # Errors
-///
-/// Returns an error for a zero-sample spec, an empty source set, or
-/// invalid scenario bounds.
-pub fn monte_carlo_source_tcdp_with_threads(
-    point: &DesignPoint,
-    sources: &[&dyn CiIntegral],
-    spec: &SourceMonteCarloSpec,
-    threads: usize,
-) -> Result<MonteCarloSummary, CarbonError> {
     let _span = cordoba_obs::span_with(
         "core/monte_carlo_source_tcdp",
         "samples",
         u64::try_from(spec.samples).unwrap_or(u64::MAX),
     );
     spec.validate(sources.len())?;
-    let partials = cordoba_par::par_map_with(&spec.blocks(), threads, |&block| {
-        let mut partial = McPartial::empty();
-        for (idx, tasks, lifetime) in spec.block_draws(block, sources.len()) {
-            partial.push(tcdp_under_source(point, sources[idx], tasks, lifetime));
-        }
-        partial
+    let partials = cordoba_par::par_map(&spec.blocks(), |&block| {
+        source_block(point, sources, spec, block)
     });
     Ok(summarize(partials, spec.samples))
 }
 
-/// The sampled executable spec of [`monte_carlo_source_tcdp_with_threads`]:
-/// identical draw stream, but each draw's lifetime mean is estimated with
+/// The sampled executable spec of [`monte_carlo_source_tcdp`]: identical
+/// draw stream, but each draw's lifetime mean is estimated with
 /// `samples_per_draw` midpoint lookups instead of the exact kernel.
 ///
 /// Exists for convergence property tests and as the benchmark baseline; new
@@ -611,12 +596,11 @@ pub fn monte_carlo_source_tcdp_with_threads(
 ///
 /// Returns an error for a zero-sample spec, an empty source set, invalid
 /// scenario bounds, or `samples_per_draw == 0`.
-pub fn monte_carlo_source_tcdp_sampled_with_threads(
+pub fn monte_carlo_source_tcdp_sampled(
     point: &DesignPoint,
     sources: &[&dyn CiIntegral],
     spec: &SourceMonteCarloSpec,
     samples_per_draw: usize,
-    threads: usize,
 ) -> Result<MonteCarloSummary, CarbonError> {
     let _span = cordoba_obs::span_with(
         "core/monte_carlo_source_tcdp_sampled",
@@ -629,7 +613,7 @@ pub fn monte_carlo_source_tcdp_sampled_with_threads(
             what: "integration samples per draw",
         });
     }
-    let partials = cordoba_par::par_map_with(&spec.blocks(), threads, |&block| {
+    let partials = cordoba_par::par_map(&spec.blocks(), |&block| {
         let mut partial = McPartial::empty();
         for (idx, tasks, lifetime) in spec.block_draws(block, sources.len()) {
             partial.push(tcdp_under_source_sampled(
@@ -651,7 +635,7 @@ pub fn monte_carlo_source_tcdp_sampled_with_threads(
 /// The sampled analogue of [`scenario_regret`]: instead of a handful of
 /// hand-picked intensity trajectories, the whole `(N, CI_use)` envelope is
 /// sampled. A mean regret of 1.0 means the design is optimal in every
-/// sampled scenario.
+/// sampled scenario. Results are bit-identical at every thread count.
 ///
 /// # Errors
 ///
@@ -660,21 +644,6 @@ pub fn monte_carlo_source_tcdp_sampled_with_threads(
 pub fn monte_carlo_regret(
     points: &[DesignPoint],
     spec: &MonteCarloSpec,
-) -> Result<Vec<f64>, CarbonError> {
-    monte_carlo_regret_with_threads(points, spec, cordoba_par::effective_threads())
-}
-
-/// [`monte_carlo_regret`] with an explicit worker-thread count (1 = fully
-/// sequential). Results are bit-identical at every thread count.
-///
-/// # Errors
-///
-/// Returns an error for an empty point list, a zero-sample spec, or
-/// invalid scenario bounds.
-pub fn monte_carlo_regret_with_threads(
-    points: &[DesignPoint],
-    spec: &MonteCarloSpec,
-    threads: usize,
 ) -> Result<Vec<f64>, CarbonError> {
     let _span = cordoba_obs::span_with(
         "core/monte_carlo_regret",
@@ -687,26 +656,43 @@ pub fn monte_carlo_regret_with_threads(
         });
     }
     spec.validate()?;
-    let partials = cordoba_par::par_map_with(&spec.blocks(), threads, |&block| {
-        let mut regret_sums = vec![0.0f64; points.len()];
-        for ctx in spec.block_scenarios(block) {
-            let tcdps: Vec<f64> = points.iter().map(|p| p.tcdp(&ctx).value()).collect();
-            let best = tcdps.iter().copied().fold(f64::INFINITY, f64::min);
-            for (sum, tcdp) in regret_sums.iter_mut().zip(&tcdps) {
-                *sum += tcdp / best;
-            }
+    let partials = cordoba_par::par_map(&spec.blocks(), |&block| regret_block(points, spec, block));
+    Ok(fold_regret(
+        points.len(),
+        spec.samples,
+        partials.iter().map(Vec::as_slice),
+    ))
+}
+
+/// Per-design regret sums over the scenarios of RNG block `block`: the
+/// per-block kernel of [`monte_carlo_regret`] and its supervised twin.
+fn regret_block(points: &[DesignPoint], spec: &MonteCarloSpec, block: u64) -> Vec<f64> {
+    let mut regret_sums = vec![0.0f64; points.len()];
+    for ctx in spec.block_scenarios(block) {
+        let tcdps: Vec<f64> = points.iter().map(|p| p.tcdp(&ctx).value()).collect();
+        let best = tcdps.iter().copied().fold(f64::INFINITY, f64::min);
+        for (sum, tcdp) in regret_sums.iter_mut().zip(&tcdps) {
+            *sum += tcdp / best;
         }
-        regret_sums
-    });
-    let mut totals = vec![0.0f64; points.len()];
+    }
+    regret_sums
+}
+
+/// Folds per-block regret sums (in block order) into per-design means.
+fn fold_regret<'a>(
+    n_points: usize,
+    samples: usize,
+    partials: impl IntoIterator<Item = &'a [f64]>,
+) -> Vec<f64> {
+    let mut totals = vec![0.0f64; n_points];
     for partial in partials {
         for (total, sum) in totals.iter_mut().zip(partial) {
             *total += sum;
         }
     }
-    let n = spec.samples as f64;
+    let n = samples as f64;
     totals.iter_mut().for_each(|t| *t /= n);
-    Ok(totals)
+    totals
 }
 
 /// Computes the still-pending RNG blocks of a supervised Monte Carlo run
@@ -716,7 +702,6 @@ pub fn monte_carlo_regret_with_threads(
 fn advance_blocks<P, F>(
     slots: &mut [Option<P>],
     sup: &Supervisor,
-    threads: usize,
     eval: F,
 ) -> Result<Option<StopReason>, CoreError>
 where
@@ -731,7 +716,7 @@ where
     if pending.is_empty() {
         return Ok(None);
     }
-    let run = cordoba_par::par_map_supervised_with(&pending, threads, sup, |_, &block| eval(block));
+    let run = cordoba_par::par_map_supervised(&pending, sup, |_, &block| eval(block));
     let mut first_panic: Option<String> = None;
     for (&block, outcome) in pending.iter().zip(run.outcomes) {
         match outcome {
@@ -837,20 +822,15 @@ impl SupervisedMonteCarlo {
     /// Returns [`CoreError::Supervision`] when `spec` does not match the
     /// run this state came from, and [`CoreError::Panicked`] when a block
     /// evaluation panics.
-    pub fn resume_tcdp_with_threads(
+    pub fn resume_tcdp(
         &mut self,
         point: &DesignPoint,
         spec: &MonteCarloSpec,
         sup: &Supervisor,
-        threads: usize,
     ) -> Result<(), CoreError> {
         self.check_spec(spec.samples, spec.blocks().len())?;
-        self.stop = advance_blocks(&mut self.partials, sup, threads, |block| {
-            let mut partial = McPartial::empty();
-            for ctx in spec.block_scenarios(block) {
-                partial.push(point.tcdp(&ctx).value());
-            }
-            partial
+        self.stop = advance_blocks(&mut self.partials, sup, |block| {
+            tcdp_block(point, spec, block)
         })?;
         Ok(())
     }
@@ -863,56 +843,16 @@ impl SupervisedMonteCarlo {
     /// Returns [`CoreError::Supervision`] when `spec` does not match the
     /// run this state came from, and [`CoreError::Panicked`] when a block
     /// evaluation panics.
-    pub fn resume_source_with_threads(
+    pub fn resume_source(
         &mut self,
         point: &DesignPoint,
         sources: &[&dyn CiIntegral],
         spec: &SourceMonteCarloSpec,
         sup: &Supervisor,
-        threads: usize,
     ) -> Result<(), CoreError> {
         self.check_spec(spec.samples, spec.blocks().len())?;
-        self.stop = advance_blocks(&mut self.partials, sup, threads, |block| {
-            let mut partial = McPartial::empty();
-            for (idx, tasks, lifetime) in spec.block_draws(block, sources.len()) {
-                partial.push(tcdp_under_source(point, sources[idx], tasks, lifetime));
-            }
-            partial
-        })?;
-        Ok(())
-    }
-
-    /// Computes the still-pending blocks of a sampled-integration
-    /// experiment ([`monte_carlo_source_tcdp_sampled_supervised_with_threads`])
-    /// under `sup`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Supervision`] when `spec` does not match the
-    /// run this state came from, and [`CoreError::Panicked`] when a block
-    /// evaluation panics.
-    pub fn resume_source_sampled_with_threads(
-        &mut self,
-        point: &DesignPoint,
-        sources: &[&dyn CiIntegral],
-        spec: &SourceMonteCarloSpec,
-        samples_per_draw: usize,
-        sup: &Supervisor,
-        threads: usize,
-    ) -> Result<(), CoreError> {
-        self.check_spec(spec.samples, spec.blocks().len())?;
-        self.stop = advance_blocks(&mut self.partials, sup, threads, |block| {
-            let mut partial = McPartial::empty();
-            for (idx, tasks, lifetime) in spec.block_draws(block, sources.len()) {
-                partial.push(tcdp_under_source_sampled(
-                    point,
-                    sources[idx],
-                    tasks,
-                    lifetime,
-                    samples_per_draw,
-                ));
-            }
-            partial
+        self.stop = advance_blocks(&mut self.partials, sup, |block| {
+            source_block(point, sources, spec, block)
         })?;
         Ok(())
     }
@@ -920,9 +860,10 @@ impl SupervisedMonteCarlo {
 
 /// [`monte_carlo_tcdp`] under a [`Supervisor`]: evaluation stops on
 /// cancellation or deadline exhaustion at an RNG-block boundary and the
-/// returned state resumes via
-/// [`SupervisedMonteCarlo::resume_tcdp_with_threads`]. A worker panic is
-/// isolated per block and surfaced as [`CoreError::Panicked`].
+/// returned state resumes via [`SupervisedMonteCarlo::resume_tcdp`]. A
+/// worker panic is isolated per block and surfaced as
+/// [`CoreError::Panicked`]. Completed blocks are bit-identical at every
+/// thread count.
 ///
 /// # Errors
 ///
@@ -933,22 +874,6 @@ pub fn monte_carlo_tcdp_supervised(
     spec: &MonteCarloSpec,
     sup: &Supervisor,
 ) -> Result<SupervisedMonteCarlo, CoreError> {
-    monte_carlo_tcdp_supervised_with_threads(point, spec, sup, cordoba_par::effective_threads())
-}
-
-/// [`monte_carlo_tcdp_supervised`] with an explicit worker-thread count
-/// (1 = fully sequential). Completed blocks are bit-identical at every
-/// thread count.
-///
-/// # Errors
-///
-/// See [`monte_carlo_tcdp_supervised`].
-pub fn monte_carlo_tcdp_supervised_with_threads(
-    point: &DesignPoint,
-    spec: &MonteCarloSpec,
-    sup: &Supervisor,
-    threads: usize,
-) -> Result<SupervisedMonteCarlo, CoreError> {
     let _span = cordoba_obs::span_with(
         "core/monte_carlo_tcdp_supervised",
         "samples",
@@ -956,12 +881,13 @@ pub fn monte_carlo_tcdp_supervised_with_threads(
     );
     spec.validate()?;
     let mut mc = SupervisedMonteCarlo::fresh(spec.samples, spec.blocks().len());
-    mc.resume_tcdp_with_threads(point, spec, sup, threads)?;
+    mc.resume_tcdp(point, spec, sup)?;
     Ok(mc)
 }
 
 /// [`monte_carlo_source_tcdp`] under a [`Supervisor`]; resumes via
-/// [`SupervisedMonteCarlo::resume_source_with_threads`].
+/// [`SupervisedMonteCarlo::resume_source`]. Completed blocks are
+/// bit-identical at every thread count.
 ///
 /// # Errors
 ///
@@ -973,29 +899,6 @@ pub fn monte_carlo_source_tcdp_supervised(
     spec: &SourceMonteCarloSpec,
     sup: &Supervisor,
 ) -> Result<SupervisedMonteCarlo, CoreError> {
-    monte_carlo_source_tcdp_supervised_with_threads(
-        point,
-        sources,
-        spec,
-        sup,
-        cordoba_par::effective_threads(),
-    )
-}
-
-/// [`monte_carlo_source_tcdp_supervised`] with an explicit worker-thread
-/// count (1 = fully sequential). Completed blocks are bit-identical at
-/// every thread count.
-///
-/// # Errors
-///
-/// See [`monte_carlo_source_tcdp_supervised`].
-pub fn monte_carlo_source_tcdp_supervised_with_threads(
-    point: &DesignPoint,
-    sources: &[&dyn CiIntegral],
-    spec: &SourceMonteCarloSpec,
-    sup: &Supervisor,
-    threads: usize,
-) -> Result<SupervisedMonteCarlo, CoreError> {
     let _span = cordoba_obs::span_with(
         "core/monte_carlo_source_tcdp_supervised",
         "samples",
@@ -1003,46 +906,13 @@ pub fn monte_carlo_source_tcdp_supervised_with_threads(
     );
     spec.validate(sources.len())?;
     let mut mc = SupervisedMonteCarlo::fresh(spec.samples, spec.blocks().len());
-    mc.resume_source_with_threads(point, sources, spec, sup, threads)?;
-    Ok(mc)
-}
-
-/// [`monte_carlo_source_tcdp_sampled_with_threads`] under a [`Supervisor`];
-/// resumes via
-/// [`SupervisedMonteCarlo::resume_source_sampled_with_threads`].
-///
-/// # Errors
-///
-/// Returns an error for a zero-sample spec, an empty source set, invalid
-/// scenario bounds, `samples_per_draw == 0`, or a panicking block
-/// evaluation.
-pub fn monte_carlo_source_tcdp_sampled_supervised_with_threads(
-    point: &DesignPoint,
-    sources: &[&dyn CiIntegral],
-    spec: &SourceMonteCarloSpec,
-    samples_per_draw: usize,
-    sup: &Supervisor,
-    threads: usize,
-) -> Result<SupervisedMonteCarlo, CoreError> {
-    let _span = cordoba_obs::span_with(
-        "core/monte_carlo_source_tcdp_sampled_supervised",
-        "samples",
-        u64::try_from(spec.samples).unwrap_or(u64::MAX),
-    );
-    spec.validate(sources.len())?;
-    if samples_per_draw == 0 {
-        return Err(CoreError::Carbon(CarbonError::Empty {
-            what: "integration samples per draw",
-        }));
-    }
-    let mut mc = SupervisedMonteCarlo::fresh(spec.samples, spec.blocks().len());
-    mc.resume_source_sampled_with_threads(point, sources, spec, samples_per_draw, sup, threads)?;
+    mc.resume_source(point, sources, spec, sup)?;
     Ok(mc)
 }
 
 /// A supervised regret experiment in flight: per-RNG-block regret sums
 /// keyed by block index, resumable until every block is computed. Folds to
-/// bits identical to [`monte_carlo_regret_with_threads`] once complete.
+/// bits identical to [`monte_carlo_regret`] once complete.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SupervisedRegret {
     n_points: usize,
@@ -1082,16 +952,8 @@ impl SupervisedRegret {
         if !self.is_complete() {
             return None;
         }
-        let mut totals = vec![0.0f64; self.n_points];
-        for partial in &self.partials {
-            let sums = partial.as_ref()?;
-            for (total, sum) in totals.iter_mut().zip(sums) {
-                *total += sum;
-            }
-        }
-        let n = self.samples as f64;
-        totals.iter_mut().for_each(|t| *t /= n);
-        Some(totals)
+        let partials: Option<Vec<&[f64]>> = self.partials.iter().map(Option::as_deref).collect();
+        Some(fold_regret(self.n_points, self.samples, partials?))
     }
 
     /// Computes the still-pending blocks under `sup`.
@@ -1101,12 +963,11 @@ impl SupervisedRegret {
     /// Returns [`CoreError::Supervision`] when `points`/`spec` do not match
     /// the run this state came from, and [`CoreError::Panicked`] when a
     /// block evaluation panics.
-    pub fn resume_with_threads(
+    pub fn resume(
         &mut self,
         points: &[DesignPoint],
         spec: &MonteCarloSpec,
         sup: &Supervisor,
-        threads: usize,
     ) -> Result<(), CoreError> {
         if points.len() != self.n_points
             || spec.samples != self.samples
@@ -1121,23 +982,16 @@ impl SupervisedRegret {
                 self.samples
             )));
         }
-        self.stop = advance_blocks(&mut self.partials, sup, threads, |block| {
-            let mut regret_sums = vec![0.0f64; points.len()];
-            for ctx in spec.block_scenarios(block) {
-                let tcdps: Vec<f64> = points.iter().map(|p| p.tcdp(&ctx).value()).collect();
-                let best = tcdps.iter().copied().fold(f64::INFINITY, f64::min);
-                for (sum, tcdp) in regret_sums.iter_mut().zip(&tcdps) {
-                    *sum += tcdp / best;
-                }
-            }
-            regret_sums
+        self.stop = advance_blocks(&mut self.partials, sup, |block| {
+            regret_block(points, spec, block)
         })?;
         Ok(())
     }
 }
 
 /// [`monte_carlo_regret`] under a [`Supervisor`]; resumes via
-/// [`SupervisedRegret::resume_with_threads`].
+/// [`SupervisedRegret::resume`]. Completed blocks are bit-identical at
+/// every thread count.
 ///
 /// # Errors
 ///
@@ -1147,22 +1001,6 @@ pub fn monte_carlo_regret_supervised(
     points: &[DesignPoint],
     spec: &MonteCarloSpec,
     sup: &Supervisor,
-) -> Result<SupervisedRegret, CoreError> {
-    monte_carlo_regret_supervised_with_threads(points, spec, sup, cordoba_par::effective_threads())
-}
-
-/// [`monte_carlo_regret_supervised`] with an explicit worker-thread count
-/// (1 = fully sequential). Completed blocks are bit-identical at every
-/// thread count.
-///
-/// # Errors
-///
-/// See [`monte_carlo_regret_supervised`].
-pub fn monte_carlo_regret_supervised_with_threads(
-    points: &[DesignPoint],
-    spec: &MonteCarloSpec,
-    sup: &Supervisor,
-    threads: usize,
 ) -> Result<SupervisedRegret, CoreError> {
     let _span = cordoba_obs::span_with(
         "core/monte_carlo_regret_supervised",
@@ -1181,7 +1019,7 @@ pub fn monte_carlo_regret_supervised_with_threads(
         partials: vec![None; spec.blocks().len()],
         stop: None,
     };
-    regret.resume_with_threads(points, spec, sup, threads)?;
+    regret.resume(points, spec, sup)?;
     Ok(regret)
 }
 
@@ -1307,9 +1145,9 @@ mod tests {
         // 200 samples spans four RNG blocks, so multi-thread runs really
         // do split the work.
         let spec = MonteCarloSpec::new(200, 42);
-        let base = monte_carlo_tcdp_with_threads(&p, &spec, 1).unwrap();
+        let base = cordoba_par::with_threads(1, || monte_carlo_tcdp(&p, &spec)).unwrap();
         for threads in [2, 4, 16] {
-            let par = monte_carlo_tcdp_with_threads(&p, &spec, threads).unwrap();
+            let par = cordoba_par::with_threads(threads, || monte_carlo_tcdp(&p, &spec)).unwrap();
             assert_eq!(base, par, "threads = {threads}");
         }
         assert_eq!(base.samples, 200);
@@ -1345,7 +1183,7 @@ mod tests {
         let best = regret.iter().copied().fold(f64::INFINITY, f64::min);
         assert!(regret[4] > best, "huge should not be the robust choice");
         // And parallel evaluation changes nothing.
-        let seq = monte_carlo_regret_with_threads(&pts, &spec, 1).unwrap();
+        let seq = cordoba_par::with_threads(1, || monte_carlo_regret(&pts, &spec)).unwrap();
         assert_eq!(regret, seq);
     }
 
@@ -1394,9 +1232,12 @@ mod tests {
         let sources: [&dyn CiIntegral; 2] = [&coal, &trend];
         // 200 samples spans four RNG blocks.
         let spec = SourceMonteCarloSpec::new(200, 42);
-        let base = monte_carlo_source_tcdp_with_threads(&p, &sources, &spec, 1).unwrap();
+        let base =
+            cordoba_par::with_threads(1, || monte_carlo_source_tcdp(&p, &sources, &spec)).unwrap();
         for threads in [2, 4, 16] {
-            let par = monte_carlo_source_tcdp_with_threads(&p, &sources, &spec, threads).unwrap();
+            let par =
+                cordoba_par::with_threads(threads, || monte_carlo_source_tcdp(&p, &sources, &spec))
+                    .unwrap();
             assert_eq!(base, par, "threads = {threads}");
         }
         assert_eq!(base.samples, 200);
@@ -1428,10 +1269,8 @@ mod tests {
         let spec = SourceMonteCarloSpec::new(128, 9);
         let exact = monte_carlo_source_tcdp(&p, &sources, &spec).unwrap();
         // Same draw stream, so the only difference is integration error.
-        let coarse =
-            monte_carlo_source_tcdp_sampled_with_threads(&p, &sources, &spec, 16, 1).unwrap();
-        let fine =
-            monte_carlo_source_tcdp_sampled_with_threads(&p, &sources, &spec, 4_096, 1).unwrap();
+        let coarse = monte_carlo_source_tcdp_sampled(&p, &sources, &spec, 16).unwrap();
+        let fine = monte_carlo_source_tcdp_sampled(&p, &sources, &spec, 4_096).unwrap();
         let coarse_err = (coarse.mean - exact.mean).abs() / exact.mean;
         let fine_err = (fine.mean - exact.mean).abs() / exact.mean;
         assert!(fine_err <= coarse_err);
@@ -1451,12 +1290,11 @@ mod tests {
         let mut bad = SourceMonteCarloSpec::new(10, 1);
         bad.tasks_log10_hi = bad.tasks_log10_lo - 1.0;
         assert!(monte_carlo_source_tcdp(&p, &sources, &bad).is_err());
-        assert!(monte_carlo_source_tcdp_sampled_with_threads(
+        assert!(monte_carlo_source_tcdp_sampled(
             &p,
             &sources,
             &SourceMonteCarloSpec::new(10, 1),
-            0,
-            1
+            0
         )
         .is_err());
     }
@@ -1465,9 +1303,14 @@ mod tests {
     fn supervised_monte_carlo_matches_unsupervised_when_unbounded() {
         let p = point("x", 1.0, 2.0, 500.0);
         let spec = MonteCarloSpec::new(300, 11);
-        let direct = monte_carlo_tcdp_with_threads(&p, &spec, 2).unwrap();
-        let sup = Supervisor::unbounded();
-        let mc = monte_carlo_tcdp_supervised_with_threads(&p, &spec, &sup, 2).unwrap();
+        let (direct, mc) = cordoba_par::with_threads(2, || {
+            let direct = monte_carlo_tcdp(&p, &spec).unwrap();
+            let sup = Supervisor::unbounded();
+            (
+                direct,
+                monte_carlo_tcdp_supervised(&p, &spec, &sup).unwrap(),
+            )
+        });
         assert!(mc.is_complete());
         assert_eq!(mc.summary().unwrap(), direct);
     }
@@ -1477,14 +1320,16 @@ mod tests {
         let p = point("x", 1.0, 2.0, 500.0);
         // 300 samples = 5 blocks of 64 (last short).
         let spec = MonteCarloSpec::new(300, 11);
-        let direct = monte_carlo_tcdp_with_threads(&p, &spec, 1).unwrap();
+        let direct = cordoba_par::with_threads(1, || monte_carlo_tcdp(&p, &spec)).unwrap();
         for trip in [0u64, 1, 3] {
             let sup = Supervisor::tripping_after(trip);
-            let mut mc = monte_carlo_tcdp_supervised_with_threads(&p, &spec, &sup, 1).unwrap();
+            let mut mc =
+                cordoba_par::with_threads(1, || monte_carlo_tcdp_supervised(&p, &spec, &sup))
+                    .unwrap();
             assert_eq!(mc.stop(), Some(StopReason::Cancelled), "trip {trip}");
             assert_eq!(mc.completed_blocks(), trip as usize);
             assert!(mc.summary().is_none());
-            mc.resume_tcdp_with_threads(&p, &spec, &Supervisor::unbounded(), 2)
+            cordoba_par::with_threads(2, || mc.resume_tcdp(&p, &spec, &Supervisor::unbounded()))
                 .unwrap();
             assert!(mc.is_complete());
             assert_eq!(mc.summary().unwrap(), direct, "trip {trip}");
@@ -1497,40 +1342,35 @@ mod tests {
         let (coal, trend) = source_set();
         let sources: [&dyn CiIntegral; 2] = [&coal, &trend];
         let spec = SourceMonteCarloSpec::new(200, 7);
-        let exact = monte_carlo_source_tcdp_with_threads(&p, &sources, &spec, 1).unwrap();
+        let exact =
+            cordoba_par::with_threads(1, || monte_carlo_source_tcdp(&p, &sources, &spec)).unwrap();
         let sup = Supervisor::tripping_after(1);
-        let mut mc =
-            monte_carlo_source_tcdp_supervised_with_threads(&p, &sources, &spec, &sup, 1).unwrap();
-        assert!(!mc.is_complete());
-        mc.resume_source_with_threads(&p, &sources, &spec, &Supervisor::unbounded(), 2)
-            .unwrap();
-        assert_eq!(mc.summary().unwrap(), exact);
-        // Sampled-integration path, same shape.
-        let sampled =
-            monte_carlo_source_tcdp_sampled_with_threads(&p, &sources, &spec, 16, 1).unwrap();
-        let sup = Supervisor::tripping_after(2);
-        let mut mc = monte_carlo_source_tcdp_sampled_supervised_with_threads(
-            &p, &sources, &spec, 16, &sup, 1,
-        )
+        let mut mc = cordoba_par::with_threads(1, || {
+            monte_carlo_source_tcdp_supervised(&p, &sources, &spec, &sup)
+        })
         .unwrap();
-        mc.resume_source_sampled_with_threads(&p, &sources, &spec, 16, &Supervisor::unbounded(), 1)
-            .unwrap();
-        assert_eq!(mc.summary().unwrap(), sampled);
+        assert!(!mc.is_complete());
+        cordoba_par::with_threads(2, || {
+            mc.resume_source(&p, &sources, &spec, &Supervisor::unbounded())
+        })
+        .unwrap();
+        assert_eq!(mc.summary().unwrap(), exact);
     }
 
     #[test]
     fn supervised_regret_resumes_exactly() {
         let pts = space();
         let spec = MonteCarloSpec::new(256, 3);
-        let direct = monte_carlo_regret_with_threads(&pts, &spec, 1).unwrap();
+        let direct = cordoba_par::with_threads(1, || monte_carlo_regret(&pts, &spec)).unwrap();
         let sup = Supervisor::tripping_after(2);
-        let mut regret = monte_carlo_regret_supervised_with_threads(&pts, &spec, &sup, 1).unwrap();
+        let mut regret =
+            cordoba_par::with_threads(1, || monte_carlo_regret_supervised(&pts, &spec, &sup))
+                .unwrap();
         assert_eq!(regret.stop(), Some(StopReason::Cancelled));
         assert_eq!(regret.completed_blocks(), 2);
         assert_eq!(regret.total_blocks(), 4);
         assert!(regret.regrets().is_none());
-        regret
-            .resume_with_threads(&pts, &spec, &Supervisor::unbounded(), 2)
+        cordoba_par::with_threads(2, || regret.resume(&pts, &spec, &Supervisor::unbounded()))
             .unwrap();
         assert_eq!(regret.regrets().unwrap(), direct);
     }
@@ -1540,22 +1380,23 @@ mod tests {
         let p = point("x", 1.0, 2.0, 500.0);
         let spec = MonteCarloSpec::new(300, 11);
         let sup = Supervisor::tripping_after(1);
-        let mut mc = monte_carlo_tcdp_supervised_with_threads(&p, &spec, &sup, 1).unwrap();
+        let mut mc =
+            cordoba_par::with_threads(1, || monte_carlo_tcdp_supervised(&p, &spec, &sup)).unwrap();
         let other = MonteCarloSpec::new(301, 11);
         assert!(mc
-            .resume_tcdp_with_threads(&p, &other, &Supervisor::unbounded(), 1)
+            .resume_tcdp(&p, &other, &Supervisor::unbounded())
             .is_err());
         let pts = space();
         let sup = Supervisor::tripping_after(1);
-        let mut regret =
-            monte_carlo_regret_supervised_with_threads(&pts, &MonteCarloSpec::new(256, 3), &sup, 1)
-                .unwrap();
+        let mut regret = cordoba_par::with_threads(1, || {
+            monte_carlo_regret_supervised(&pts, &MonteCarloSpec::new(256, 3), &sup)
+        })
+        .unwrap();
         assert!(regret
-            .resume_with_threads(
+            .resume(
                 &pts[..2],
                 &MonteCarloSpec::new(256, 3),
                 &Supervisor::unbounded(),
-                1
             )
             .is_err());
     }

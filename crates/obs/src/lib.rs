@@ -7,7 +7,7 @@
 //! loads when disabled so instrumented code stays bit-identical to (and
 //! within noise of) uninstrumented code:
 //!
-//! * **Spans** ([`span`], [`span_with`], [`span_timed`]): RAII timed scopes
+//! * **Spans** ([`span()`], [`span_with`], [`span_timed`]): RAII timed scopes
 //!   collected into a thread-aware, order-stable buffer and exported as
 //!   Chrome trace-event JSON ([`export_chrome_trace`]) loadable in Perfetto
 //!   or `chrome://tracing`.

@@ -26,11 +26,12 @@
 //!
 //! # Thread-count resolution
 //!
-//! Explicit `*_with` variants take a thread count directly. The plain
-//! variants consult the process-wide setting ([`set_threads`], wired to the
-//! CLI's `--threads N`) and fall back to
-//! [`std::thread::available_parallelism`]. A count of 1 is exactly the
-//! sequential path.
+//! No map takes a thread count. Every map asks [`effective_threads`], which
+//! resolves, in order: the innermost [`with_threads`] scope on the calling
+//! thread (inherited by the workers a map spawns), the process-wide
+//! [`set_threads`] default, and [`std::thread::available_parallelism`]. A
+//! count of 1 is exactly the sequential path. Because every map is
+//! order-preserving, the count only ever changes wall-clock time.
 //!
 //! # Examples
 //!
@@ -49,10 +50,10 @@
 pub mod supervise;
 
 pub use supervise::{
-    par_map_supervised, par_map_supervised_hinted, par_map_supervised_with, Outcome, StopReason,
-    SupervisedMap, Supervisor,
+    par_map_supervised, par_map_supervised_hinted, Outcome, StopReason, SupervisedMap, Supervisor,
 };
 
+use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -126,7 +127,7 @@ impl CostHint {
     }
 }
 
-/// Process-wide thread-count override; 0 means "auto" (all cores).
+/// Process-wide default thread count; 0 means "auto" (all cores).
 ///
 /// Thread count is a pure performance knob: every map in this crate is
 /// order-preserving, so results are bit-identical at any worker count and
@@ -142,27 +143,62 @@ static CONFIGURED_THREADS: AtomicUsize = AtomicUsize::new(0);
 // cordoba-lint: allow(global-state) — memoized hardware probe, perf-only; cannot affect results
 static AUTO_THREADS: AtomicUsize = AtomicUsize::new(0);
 
-/// Overrides the process-wide worker-thread count used by the non-`_with`
-/// entry points. `None` restores the default (all available cores).
+// cordoba-lint: allow(global-state) — perf-only scoped knob like CONFIGURED_THREADS; maps are order-preserving, so it cannot affect results
+thread_local! {
+    /// The innermost [`with_threads`] count on this thread; 0 means "no
+    /// scope". Map workers inherit their spawner's value.
+    static SCOPED_THREADS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Sets the process-wide default worker-thread count. `None` restores the
+/// default (all available cores). A [`with_threads`] scope takes
+/// precedence over this default.
 ///
-/// The CLI's `--threads N` flag calls this once at startup. Because every
-/// map is order-preserving, changing the count never changes results —
-/// only wall-clock time.
+/// Because every map is order-preserving, changing the count never changes
+/// results — only wall-clock time.
 pub fn set_threads(threads: Option<NonZeroUsize>) {
     CONFIGURED_THREADS.store(threads.map_or(0, NonZeroUsize::get), Ordering::Relaxed);
 }
 
-/// The explicit override installed by [`set_threads`], if any.
+/// The process-wide default installed by [`set_threads`], if any.
 #[must_use]
 pub fn configured_threads() -> Option<NonZeroUsize> {
     NonZeroUsize::new(CONFIGURED_THREADS.load(Ordering::Relaxed))
 }
 
-/// The worker-thread count the non-`_with` entry points will use: the
-/// [`set_threads`] override if present, otherwise
-/// [`std::thread::available_parallelism`], otherwise 1.
+/// Runs `f` with every map it starts — on this thread or, transitively, on
+/// the workers those maps spawn — using `threads` workers (0 is treated as
+/// 1). The previous count is restored when `f` returns or unwinds, and
+/// other threads are unaffected.
+///
+/// ```
+/// let inner = cordoba_par::with_threads(3, || {
+///     assert_eq!(cordoba_par::effective_threads(), 3);
+///     cordoba_par::with_threads(1, cordoba_par::effective_threads)
+/// });
+/// assert_eq!(inner, 1);
+/// ```
+pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    /// Restores the enclosing scope's count on return and on unwind.
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SCOPED_THREADS.set(self.0);
+        }
+    }
+    let _restore = Restore(SCOPED_THREADS.replace(threads.max(1)));
+    f()
+}
+
+/// The worker-thread count every map uses: the innermost [`with_threads`]
+/// scope if any, else the [`set_threads`] default, else
+/// [`std::thread::available_parallelism`], else 1.
 #[must_use]
 pub fn effective_threads() -> usize {
+    let scoped = SCOPED_THREADS.get();
+    if scoped != 0 {
+        return scoped;
+    }
     match configured_threads() {
         Some(n) => n.get(),
         None => match AUTO_THREADS.load(Ordering::Relaxed) {
@@ -176,6 +212,24 @@ pub fn effective_threads() -> usize {
     }
 }
 
+/// Spawns `work` on `scope` under the calling thread's [`with_threads`]
+/// count, so a map nested inside a worker resolves the same count as its
+/// parent map did.
+pub(crate) fn spawn_inheriting<'scope, R, W>(
+    scope: &'scope std::thread::Scope<'scope, '_>,
+    work: W,
+) -> std::thread::ScopedJoinHandle<'scope, R>
+where
+    R: Send + 'scope,
+    W: FnOnce() -> R + Send + 'scope,
+{
+    let scoped = SCOPED_THREADS.get();
+    scope.spawn(move || {
+        SCOPED_THREADS.set(scoped);
+        work()
+    })
+}
+
 /// Maps `f` over `items` in parallel, preserving input order.
 ///
 /// Equivalent to `items.iter().map(f).collect()` for any pure `f`; uses
@@ -186,59 +240,39 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map_indexed_with(items, effective_threads(), |_, item| f(item))
-}
-
-/// [`par_map`] with an explicit thread count (1 = sequential).
-pub fn par_map_with<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_indexed_with(items, threads, |_, item| f(item))
+    par_map_indexed(items, |_, item| f(item))
 }
 
 /// Maps `f(index, item)` over `items` in parallel, preserving input order.
+///
+/// The input is split into at most [`effective_threads`] contiguous chunks;
+/// each worker maps its chunk front to back and the chunk results are
+/// concatenated in chunk order, so the output order (and, for a pure `f`,
+/// every bit of the output) is independent of the thread count.
 pub fn par_map_indexed<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    par_map_indexed_with(items, effective_threads(), f)
+    chunked_map(items, length_workers(items.len()), f)
 }
 
-/// [`par_map_indexed`] with an explicit thread count (1 = sequential).
-///
-/// The input is split into at most `threads` contiguous chunks; each worker
-/// maps its chunk front to back and the chunk results are concatenated in
-/// chunk order, so the output order (and, for a pure `f`, every bit of the
-/// output) is independent of the thread count.
-pub fn par_map_indexed_with<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    chunked_map(items, length_workers(items.len(), threads), f)
-}
-
-/// [`par_map_indexed_with`] steered by a [`CostHint`] instead of the
+/// [`par_map_indexed`] steered by a [`CostHint`] instead of the
 /// length-only [`MIN_PARALLEL_LEN`] cutoff: the map stays sequential until
 /// the estimated total work pays for spawning, and then uses only as many
 /// workers as keep each chunk's work above the spawn cost. Output is
-/// bit-identical to [`par_map_indexed_with`] for any pure `f`.
-pub fn par_map_indexed_hinted<T, R, F>(items: &[T], threads: usize, hint: CostHint, f: F) -> Vec<R>
+/// bit-identical to [`par_map_indexed`] for any pure `f`.
+pub fn par_map_indexed_hinted<T, R, F>(items: &[T], hint: CostHint, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    chunked_map(items, hint.workers(items.len(), threads), f)
+    chunked_map(items, hint.workers(items.len(), effective_threads()), f)
 }
 
-/// [`try_par_map_with`] steered by a [`CostHint`] (see
+/// [`try_par_map`] steered by a [`CostHint`] (see
 /// [`par_map_indexed_hinted`]), with the closure also receiving the item
 /// index.
 ///
@@ -248,7 +282,6 @@ where
 /// invocation of `f`.
 pub fn try_par_map_indexed_hinted<T, R, E, F>(
     items: &[T],
-    threads: usize,
     hint: CostHint,
     f: F,
 ) -> Result<Vec<R>, E>
@@ -258,15 +291,13 @@ where
     E: Send,
     F: Fn(usize, &T) -> Result<R, E> + Sync,
 {
-    par_map_indexed_hinted(items, threads, hint, f)
-        .into_iter()
-        .collect()
+    par_map_indexed_hinted(items, hint, f).into_iter().collect()
 }
 
-/// The pre-`CostHint` worker-count rule: requested threads, except that
-/// short inputs run sequentially.
-pub(crate) fn length_workers(len: usize, threads: usize) -> usize {
-    let threads = threads.clamp(1, len.max(1));
+/// The pre-`CostHint` worker-count rule: [`effective_threads`], except
+/// that short inputs run sequentially.
+pub(crate) fn length_workers(len: usize) -> usize {
+    let threads = effective_threads().clamp(1, len.max(1));
     if threads == 1 || len < MIN_PARALLEL_LEN {
         1
     } else {
@@ -294,7 +325,7 @@ where
             .enumerate()
             .map(|(chunk_idx, chunk)| {
                 let base = chunk_idx * chunk_len;
-                scope.spawn(move || {
+                spawn_inheriting(scope, move || {
                     // Observability side channel only: the span never
                     // touches the mapped values, so results stay
                     // bit-identical with tracing on or off.
@@ -341,23 +372,7 @@ where
     E: Send,
     F: Fn(&T) -> Result<R, E> + Sync,
 {
-    try_par_map_with(items, effective_threads(), f)
-}
-
-/// [`try_par_map`] with an explicit thread count (1 = sequential).
-///
-/// # Errors
-///
-/// Returns the error produced by the earliest (by input index) failing
-/// invocation of `f`.
-pub fn try_par_map_with<T, R, E, F>(items: &[T], threads: usize, f: F) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(&T) -> Result<R, E> + Sync,
-{
-    par_map_with(items, threads, f).into_iter().collect()
+    par_map(items, f).into_iter().collect()
 }
 
 #[cfg(test)]
@@ -369,9 +384,11 @@ mod tests {
         let items: Vec<u64> = (0..1000).collect();
         let expected: Vec<u64> = items.iter().map(|x| x.wrapping_mul(31) ^ 7).collect();
         for threads in [1, 2, 3, 4, 7, 64, 1000, 5000] {
-            let got = par_map_indexed_with(&items, threads, |i, x| {
-                assert_eq!(*x, i as u64);
-                x.wrapping_mul(31) ^ 7
+            let got = with_threads(threads, || {
+                par_map_indexed(&items, |i, x| {
+                    assert_eq!(*x, i as u64);
+                    x.wrapping_mul(31) ^ 7
+                })
             });
             assert_eq!(got, expected, "threads = {threads}");
         }
@@ -380,12 +397,14 @@ mod tests {
     #[test]
     fn empty_and_tiny_inputs() {
         let empty: Vec<u32> = Vec::new();
-        assert!(par_map_with(&empty, 8, |x| *x).is_empty());
-        assert_eq!(par_map_with(&[5u32], 8, |x| x + 1), vec![6]);
-        // Below the cutoff the calling thread does all the work.
-        let caller = std::thread::current().id();
-        let ids = par_map_with(&[1, 2, 3], 8, |_| std::thread::current().id());
-        assert!(ids.iter().all(|id| *id == caller));
+        with_threads(8, || {
+            assert!(par_map(&empty, |x| *x).is_empty());
+            assert_eq!(par_map(&[5u32], |x| x + 1), vec![6]);
+            // Below the cutoff the calling thread does all the work.
+            let caller = std::thread::current().id();
+            let ids = par_map(&[1, 2, 3], |_| std::thread::current().id());
+            assert!(ids.iter().all(|id| *id == caller));
+        });
     }
 
     #[test]
@@ -394,7 +413,7 @@ mod tests {
         let work = |x: &f64| (x.sin() * x.exp()).ln_1p() / (x + 1.0);
         let seq: Vec<u64> = items.iter().map(|x| work(x).to_bits()).collect();
         for threads in [2, 3, 8] {
-            let par: Vec<u64> = par_map_with(&items, threads, work)
+            let par: Vec<u64> = with_threads(threads, || par_map(&items, work))
                 .into_iter()
                 .map(f64::to_bits)
                 .collect();
@@ -414,10 +433,10 @@ mod tests {
         };
         for threads in [1, 2, 4, 16] {
             // 13 and 84 and 155 fail; 13 is first in input order.
-            assert_eq!(try_par_map_with(&items, threads, f), Err(13));
+            assert_eq!(with_threads(threads, || try_par_map(&items, f)), Err(13));
         }
         let clean: Vec<i64> = (0..100).collect();
-        let ok = try_par_map_with(&clean, 4, |x| Ok::<_, ()>(x + 1)).unwrap();
+        let ok = with_threads(4, || try_par_map(&clean, |x| Ok::<_, ()>(x + 1))).unwrap();
         assert_eq!(ok, (1..=100).collect::<Vec<i64>>());
     }
 
@@ -425,16 +444,23 @@ mod tests {
     fn worker_panic_propagates_to_caller() {
         let items: Vec<u32> = (0..100).collect();
         let result = std::panic::catch_unwind(|| {
-            par_map_with(&items, 4, |x| {
-                assert!(*x != 57, "boom");
-                *x
+            with_threads(4, || {
+                par_map(&items, |x| {
+                    assert!(*x != 57, "boom");
+                    *x
+                })
             })
         });
         assert!(result.is_err());
     }
 
+    /// Serializes the tests that write the process-wide default, so one
+    /// never observes another's value.
+    static GLOBAL_DEFAULT: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn global_thread_configuration_round_trips() {
+        let _guard = GLOBAL_DEFAULT.lock().unwrap_or_else(|e| e.into_inner());
         assert!(effective_threads() >= 1);
         set_threads(NonZeroUsize::new(3));
         assert_eq!(configured_threads(), NonZeroUsize::new(3));
@@ -442,6 +468,69 @@ mod tests {
         set_threads(None);
         assert_eq!(configured_threads(), None);
         assert!(effective_threads() >= 1);
+    }
+
+    #[test]
+    fn scoped_override_wins_over_global_default() {
+        let _guard = GLOBAL_DEFAULT.lock().unwrap_or_else(|e| e.into_inner());
+        set_threads(NonZeroUsize::new(5));
+        assert_eq!(with_threads(2, effective_threads), 2);
+        assert_eq!(effective_threads(), 5);
+        set_threads(None);
+    }
+
+    #[test]
+    fn scoped_override_nests_and_restores_after_a_caught_panic() {
+        assert_eq!(SCOPED_THREADS.get(), 0);
+        with_threads(3, || {
+            assert_eq!(effective_threads(), 3);
+            with_threads(5, || assert_eq!(effective_threads(), 5));
+            assert_eq!(effective_threads(), 3);
+            let caught = std::panic::catch_unwind(|| {
+                with_threads(7, || panic!("unwinding out of a scope"));
+            });
+            assert!(caught.is_err());
+            assert_eq!(effective_threads(), 3);
+            with_threads(0, || assert_eq!(effective_threads(), 1));
+        });
+        assert_eq!(SCOPED_THREADS.get(), 0);
+    }
+
+    #[test]
+    fn maps_started_inside_workers_see_the_scope() {
+        let items: Vec<u32> = (0..64).collect();
+        let caller = std::thread::current().id();
+        let seen = with_threads(3, || {
+            par_map(&items, |_| {
+                let nested = par_map(&items[..MIN_PARALLEL_LEN], |_| effective_threads());
+                (std::thread::current().id(), effective_threads(), nested)
+            })
+        });
+        for (id, threads, nested) in seen {
+            assert_ne!(id, caller, "64 items at 3 threads run on workers");
+            assert_eq!(threads, 3);
+            assert!(nested.iter().all(|&n| n == 3));
+        }
+    }
+
+    #[test]
+    fn concurrent_scopes_on_different_threads_stay_separate() {
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for threads in [2, 6] {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    with_threads(threads, || {
+                        // Both scopes are open before either reads.
+                        barrier.wait();
+                        for _ in 0..1000 {
+                            assert_eq!(effective_threads(), threads);
+                        }
+                        barrier.wait();
+                    });
+                });
+            }
+        });
     }
 
     #[test]
@@ -470,8 +559,9 @@ mod tests {
         for threads in [1, 2, 8] {
             for hint_ns in [1, 1_000, 10_000_000] {
                 let hint = CostHint::per_item_ns(hint_ns);
-                let got: Vec<u64> =
-                    par_map_indexed_hinted(&items, threads, hint, |_, x| work(x).to_bits());
+                let got: Vec<u64> = with_threads(threads, || {
+                    par_map_indexed_hinted(&items, hint, |_, x| work(x).to_bits())
+                });
                 assert_eq!(got, seq, "threads = {threads}, hint = {hint_ns}");
             }
         }
@@ -483,7 +573,8 @@ mod tests {
         let f = |_: usize, x: &i64| if *x % 71 == 13 { Err(*x) } else { Ok(x * 2) };
         for hint_ns in [1, 100_000] {
             let hint = CostHint::per_item_ns(hint_ns);
-            assert_eq!(try_par_map_indexed_hinted(&items, 4, hint, f), Err(13));
+            let got = with_threads(4, || try_par_map_indexed_hinted(&items, hint, f));
+            assert_eq!(got, Err(13));
         }
     }
 
@@ -493,8 +584,10 @@ mod tests {
         let caller = std::thread::current().id();
         // 100 items x 1 ns is far below the threshold despite exceeding
         // MIN_PARALLEL_LEN.
-        let ids = par_map_indexed_hinted(&items, 8, CostHint::per_item_ns(1), |_, _| {
-            std::thread::current().id()
+        let ids = with_threads(8, || {
+            par_map_indexed_hinted(&items, CostHint::per_item_ns(1), |_, _| {
+                std::thread::current().id()
+            })
         });
         assert!(ids.iter().all(|id| *id == caller));
     }
@@ -503,11 +596,13 @@ mod tests {
     fn uses_multiple_threads_for_large_inputs() {
         use std::collections::HashSet;
         let items: Vec<u32> = (0..256).collect();
-        let ids = par_map_with(&items, 4, |_| {
-            // A short stall so chunks overlap in time rather than one
-            // worker finishing before the next spawns.
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            std::thread::current().id()
+        let ids = with_threads(4, || {
+            par_map(&items, |_| {
+                // A short stall so chunks overlap in time rather than one
+                // worker finishing before the next spawns.
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                std::thread::current().id()
+            })
         });
         let distinct: HashSet<_> = ids.into_iter().collect();
         assert!(distinct.len() > 1, "expected work on more than one thread");

@@ -13,8 +13,8 @@
 //!   through [`Supervisor::progress`] and attached to the supervision
 //!   events recorded through `cordoba-obs`.
 //!
-//! [`par_map_supervised_with`] is the supervised sibling of
-//! [`crate::par_map_indexed_with`]: same contiguous chunking, same
+//! [`par_map_supervised`] is the supervised sibling of
+//! [`crate::par_map_indexed`]: same contiguous chunking, same
 //! input-order merge, plus per-item panic isolation
 //! (`std::panic::catch_unwind`) and cooperative stop checks before every
 //! item. It returns a [`SupervisedMap`] recording, per input index, whether
@@ -277,7 +277,7 @@ impl<R> Outcome<R> {
     }
 }
 
-/// Result of [`par_map_supervised_with`]: one [`Outcome`] per input index
+/// Result of [`par_map_supervised`]: one [`Outcome`] per input index
 /// plus the stop reason when the run was cut short.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SupervisedMap<R> {
@@ -351,40 +351,24 @@ where
 }
 
 /// Supervised sibling of [`crate::par_map_indexed`]: cooperative stop
-/// checks before every item, per-item panic isolation, input-order merge.
-/// Uses [`crate::effective_threads`] workers.
+/// checks before every item, per-item panic isolation, input-order merge,
+/// on [`crate::effective_threads`] workers.
+///
+/// Chunking and merge order are identical to [`crate::par_map_indexed`],
+/// so for every index whose outcome is [`Outcome::Done`] the value is
+/// bit-identical to the unsupervised map's at any thread count. When the
+/// supervisor stops the run, the stop is recorded once as a supervision
+/// event and returned in [`SupervisedMap::stop`].
 pub fn par_map_supervised<T, R, F>(items: &[T], sup: &Supervisor, f: F) -> SupervisedMap<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    par_map_supervised_with(items, crate::effective_threads(), sup, f)
+    run_supervised(items, crate::length_workers(items.len()), sup, f)
 }
 
-/// [`par_map_supervised`] with an explicit thread count (1 = sequential).
-///
-/// Chunking and merge order are identical to
-/// [`crate::par_map_indexed_with`], so for every index whose outcome is
-/// [`Outcome::Done`] the value is bit-identical to the unsupervised map's
-/// at any thread count. When the supervisor stops the run, the stop is
-/// recorded once as a supervision event and returned in
-/// [`SupervisedMap::stop`].
-pub fn par_map_supervised_with<T, R, F>(
-    items: &[T],
-    threads: usize,
-    sup: &Supervisor,
-    f: F,
-) -> SupervisedMap<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    run_supervised(items, crate::length_workers(items.len(), threads), sup, f)
-}
-
-/// [`par_map_supervised_with`] steered by a [`crate::CostHint`] instead of
+/// [`par_map_supervised`] steered by a [`crate::CostHint`] instead of
 /// the length-only cutoff (see [`crate::par_map_indexed_hinted`]): small
 /// estimated workloads run on the calling thread, larger ones use only as
 /// many workers as the estimated work pays for. Chunking and merge order
@@ -392,7 +376,6 @@ where
 /// unsupervised map's at any thread count.
 pub fn par_map_supervised_hinted<T, R, F>(
     items: &[T],
-    threads: usize,
     hint: crate::CostHint,
     sup: &Supervisor,
     f: F,
@@ -402,7 +385,8 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    run_supervised(items, hint.workers(items.len(), threads), sup, f)
+    let workers = hint.workers(items.len(), crate::effective_threads());
+    run_supervised(items, workers, sup, f)
 }
 
 /// Supervised chunked map over exactly `workers` contiguous chunks (1 = the
@@ -425,7 +409,7 @@ where
                 .map(|(chunk_idx, chunk)| {
                     let base = chunk_idx * chunk_len;
                     let sup = sup.clone();
-                    scope.spawn(move || {
+                    crate::spawn_inheriting(scope, move || {
                         let _span = cordoba_obs::span_with(
                             "par/supervised_chunk",
                             "items",
@@ -495,8 +479,9 @@ mod tests {
         let expected: Vec<u64> = items.iter().map(|x| x.wrapping_mul(37) ^ 11).collect();
         for threads in [1, 2, 5, 64] {
             let sup = Supervisor::unbounded();
-            let run =
-                par_map_supervised_with(&items, threads, &sup, |_, x| x.wrapping_mul(37) ^ 11);
+            let run = crate::with_threads(threads, || {
+                par_map_supervised(&items, &sup, |_, x| x.wrapping_mul(37) ^ 11)
+            });
             assert!(run.is_complete(), "threads = {threads}");
             let got: Vec<u64> = run
                 .outcomes
@@ -516,7 +501,7 @@ mod tests {
         let items: Vec<u32> = (0..100).collect();
         let sup = Supervisor::unbounded();
         sup.cancel();
-        let run = par_map_supervised_with(&items, 4, &sup, |_, x| *x);
+        let run = crate::with_threads(4, || par_map_supervised(&items, &sup, |_, x| *x));
         assert_eq!(run.stop, Some(StopReason::Cancelled));
         assert_eq!(run.skipped_indices().len(), items.len());
     }
@@ -525,7 +510,7 @@ mod tests {
     fn trip_after_stops_at_exact_point_sequentially() {
         let items: Vec<u32> = (0..50).collect();
         let sup = Supervisor::tripping_after(17);
-        let run = par_map_supervised_with(&items, 1, &sup, |_, x| x * 2);
+        let run = crate::with_threads(1, || par_map_supervised(&items, &sup, |_, x| x * 2));
         assert_eq!(run.stop, Some(StopReason::Cancelled));
         let done = run.outcomes.iter().filter(|o| o.done().is_some()).count();
         assert_eq!(done, 17);
@@ -537,7 +522,7 @@ mod tests {
     fn zero_deadline_skips_everything() {
         let items: Vec<u32> = (0..40).collect();
         let sup = Supervisor::with_deadline(Duration::ZERO);
-        let run = par_map_supervised_with(&items, 4, &sup, |_, x| *x);
+        let run = crate::with_threads(4, || par_map_supervised(&items, &sup, |_, x| *x));
         assert_eq!(run.stop, Some(StopReason::DeadlineExceeded));
         assert_eq!(run.skipped_indices().len(), items.len());
         assert_eq!(sup.progress().completed, 0);
@@ -549,9 +534,11 @@ mod tests {
         let items: Vec<u32> = (0..200).collect();
         for threads in [1, 3, 8] {
             let sup = Supervisor::unbounded();
-            let run = par_map_supervised_with(&items, threads, &sup, |_, x| {
-                assert!(x % 61 != 13, "{QUIET} poisoned item {x}");
-                x * 3
+            let run = crate::with_threads(threads, || {
+                par_map_supervised(&items, &sup, |_, x| {
+                    assert!(x % 61 != 13, "{QUIET} poisoned item {x}");
+                    x * 3
+                })
             });
             assert!(run.is_complete());
             for (i, outcome) in run.outcomes.iter().enumerate() {
@@ -574,13 +561,10 @@ mod tests {
         let expected: Vec<u64> = items.iter().map(|x| x.wrapping_mul(41) ^ 5).collect();
         for hint_ns in [1, 2_000] {
             let sup = Supervisor::unbounded();
-            let run = par_map_supervised_hinted(
-                &items,
-                4,
-                crate::CostHint::per_item_ns(hint_ns),
-                &sup,
-                |_, x| x.wrapping_mul(41) ^ 5,
-            );
+            let hint = crate::CostHint::per_item_ns(hint_ns);
+            let run = crate::with_threads(4, || {
+                par_map_supervised_hinted(&items, hint, &sup, |_, x| x.wrapping_mul(41) ^ 5)
+            });
             assert!(run.is_complete(), "hint = {hint_ns}");
             let got: Vec<u64> = run
                 .outcomes
@@ -595,8 +579,9 @@ mod tests {
         // A tripping supervisor still stops a hinted sequential run at the
         // exact unit count.
         let sup = Supervisor::tripping_after(9);
-        let run =
-            par_map_supervised_hinted(&items, 8, crate::CostHint::per_item_ns(1), &sup, |_, x| *x);
+        let run = crate::with_threads(8, || {
+            par_map_supervised_hinted(&items, crate::CostHint::per_item_ns(1), &sup, |_, x| *x)
+        });
         assert_eq!(run.stop, Some(StopReason::Cancelled));
         assert_eq!(run.skipped_indices(), (9..400).collect::<Vec<_>>());
     }

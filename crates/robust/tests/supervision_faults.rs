@@ -16,7 +16,7 @@ use cordoba_accel::space::design_space;
 use cordoba_carbon::embodied::EmbodiedModel;
 use cordoba_carbon::prelude::{grids, GramsCo2e, Joules, Seconds, SquareCentimeters};
 use cordoba_robust::prelude::*;
-use cordoba_robust::supervise::{par_map_supervised_with, Outcome};
+use cordoba_robust::supervise::{par_map_supervised, Outcome};
 use cordoba_workloads::task::Task;
 use std::time::Duration;
 
@@ -80,13 +80,14 @@ fn sweep_interrupted_at_a_thousand_seeded_points_resumes_bit_identically() {
         // then exact); odd seeds interrupt mid-parallel (the cut set is
         // scheduler-dependent, the merged result must not be).
         let interrupt_threads = if seed % 2 == 0 { 1 } else { 2 };
-        let run = op_time_sweep_supervised_with_threads(
-            pts.clone(),
-            counts.clone(),
-            grids::US_AVERAGE,
-            &Supervisor::tripping_after(trip),
-            interrupt_threads,
-        )
+        let run = cordoba_par::with_threads(interrupt_threads, || {
+            op_time_sweep_supervised(
+                pts.clone(),
+                counts.clone(),
+                grids::US_AVERAGE,
+                &Supervisor::tripping_after(trip),
+            )
+        })
         .expect("supervised sweep accepts valid inputs");
         let resumed = match run {
             SupervisedSweep::Complete(sweep) => {
@@ -113,8 +114,8 @@ fn sweep_interrupted_at_a_thousand_seeded_points_resumes_bit_identically() {
                 );
                 let fresh = Supervisor::unbounded();
                 match seed % 3 {
-                    0 => restored.resume_with_threads(&fresh, 1),
-                    1 => restored.resume_with_threads(&fresh, 2),
+                    0 => cordoba_par::with_threads(1, || restored.resume(&fresh)),
+                    1 => cordoba_par::with_threads(2, || restored.resume(&fresh)),
                     _ => restored.resume(&fresh),
                 }
                 .expect("resume accepts a valid checkpoint")
@@ -139,13 +140,14 @@ fn zero_deadline_interrupts_sweep_and_checkpoint_resumes() {
     let baseline = OpTimeSweep::new(pts.clone(), counts.clone(), grids::US_AVERAGE)
         .expect("baseline sweep builds");
     for threads in [1, 2, 4] {
-        let partial = op_time_sweep_supervised_with_threads(
-            pts.clone(),
-            counts.clone(),
-            grids::US_AVERAGE,
-            &Supervisor::with_deadline(Duration::ZERO),
-            threads,
-        )
+        let partial = cordoba_par::with_threads(threads, || {
+            op_time_sweep_supervised(
+                pts.clone(),
+                counts.clone(),
+                grids::US_AVERAGE,
+                &Supervisor::with_deadline(Duration::ZERO),
+            )
+        })
         .expect("supervised sweep accepts valid inputs")
         .partial()
         .expect("a zero deadline must interrupt the sweep");
@@ -160,12 +162,12 @@ fn zero_deadline_interrupts_sweep_and_checkpoint_resumes() {
             text.contains("deadline-exceeded"),
             "checkpoint should serialize the deadline reason"
         );
-        let resumed = SweepCheckpoint::from_text(&text)
-            .expect("checkpoint round-trips")
-            .resume_with_threads(&Supervisor::unbounded(), threads)
-            .expect("resume accepts a valid checkpoint")
-            .complete()
-            .expect("resume completes");
+        let restored = SweepCheckpoint::from_text(&text).expect("checkpoint round-trips");
+        let resumed =
+            cordoba_par::with_threads(threads, || restored.resume(&Supervisor::unbounded()))
+                .expect("resume accepts a valid checkpoint")
+                .complete()
+                .expect("resume completes");
         assert_eq!(resumed, baseline, "threads {threads}");
     }
 }
@@ -193,19 +195,17 @@ fn interrupted_eval_with_poisoned_configs_resumes_and_quarantines_in_order() {
         let baseline = evaluate_space_resilient(&configs, &task, &embodied);
         let trip = plan.trip_point(configs.len() as u64);
         let sup = Supervisor::tripping_after(trip);
-        let mut eval = evaluate_space_supervised_with_threads(&configs, &task, &embodied, &sup, 1);
+        let mut eval = cordoba_par::with_threads(1, || {
+            evaluate_space_supervised(&configs, &task, &embodied, &sup)
+        });
         if trip < configs.len() as u64 {
             assert_eq!(eval.stop(), Some(StopReason::Cancelled), "seed {seed}");
             assert_eq!(eval.attempted() as u64, trip, "seed {seed}");
         }
         let resume_threads = 1 + (seed as usize % 3);
-        eval.resume_with_threads(
-            &configs,
-            &task,
-            &embodied,
-            &Supervisor::unbounded(),
-            resume_threads,
-        )
+        cordoba_par::with_threads(resume_threads, || {
+            eval.resume(&configs, &task, &embodied, &Supervisor::unbounded())
+        })
         .expect("resume with the original configs succeeds");
         assert!(eval.is_complete(), "seed {seed}");
         let resumed = eval.to_resilient().expect("complete eval converts");
@@ -242,9 +242,11 @@ fn seeded_panic_faults_are_quarantined_in_input_order_at_any_thread_count() {
         let phase = seed % modulus;
         let classify = |threads: usize| -> Vec<Option<u64>> {
             let sup = Supervisor::unbounded();
-            let run = par_map_supervised_with(&items, threads, &sup, |_, &x| {
-                assert!(x % modulus != phase, "{QUIET} poisoned item {x}");
-                x.wrapping_mul(31) ^ seed
+            let run = cordoba_par::with_threads(threads, || {
+                par_map_supervised(&items, &sup, |_, &x| {
+                    assert!(x % modulus != phase, "{QUIET} poisoned item {x}");
+                    x.wrapping_mul(31) ^ seed
+                })
             });
             assert!(run.is_complete(), "seed {seed}: no unit skipped");
             run.outcomes

@@ -152,7 +152,8 @@ impl SupervisedProvisioning {
 
     /// Evaluates the still-pending core counts under `sup`, merging by
     /// core-count index. A fresh unbounded supervisor completes the sweep
-    /// with rows bit-identical to [`sweep`].
+    /// with rows bit-identical to [`sweep`]. At one thread a count-tripped
+    /// supervisor stops at an exact configuration.
     ///
     /// # Errors
     ///
@@ -163,23 +164,6 @@ impl SupervisedProvisioning {
         app: &VrApp,
         deployment: &Deployment,
         sup: &Supervisor,
-    ) -> Result<(), CarbonError> {
-        self.resume_with_threads(app, deployment, sup, cordoba_par::effective_threads())
-    }
-
-    /// [`resume`](Self::resume) with an explicit worker-thread count (1 =
-    /// the exact sequential path, where a count-tripped supervisor stops at
-    /// an exact configuration).
-    ///
-    /// # Errors
-    ///
-    /// See [`resume`](Self::resume).
-    pub fn resume_with_threads(
-        &mut self,
-        app: &VrApp,
-        deployment: &Deployment,
-        sup: &Supervisor,
-        threads: usize,
     ) -> Result<(), CarbonError> {
         let usage = UsageProfile::from_daily_hours(deployment.lifetime_years, app.daily_hours)?;
         let sessions = usage.operational_time().value() / app.session.value();
@@ -193,7 +177,7 @@ impl SupervisedProvisioning {
             self.stop = None;
             return Ok(());
         }
-        let run = cordoba_par::par_map_supervised_with(&pending, threads, sup, |_, &idx| {
+        let run = cordoba_par::par_map_supervised(&pending, sup, |_, &idx| {
             provision_row(self.core_counts[idx], app, deployment, sessions)
         });
         let mut first_error: Option<CarbonError> = None;
@@ -263,7 +247,8 @@ fn provision_row(
 /// [`sweep`] under a [`Supervisor`]: cancellation and deadline are checked
 /// before each core count's trace replay, a panicking replay is isolated
 /// into a structured error instead of aborting, and an interrupted sweep
-/// resumes in place via [`SupervisedProvisioning::resume`].
+/// resumes in place via [`SupervisedProvisioning::resume`]. Completed rows
+/// are bit-identical at every thread count.
 ///
 /// # Errors
 ///
@@ -274,22 +259,6 @@ pub fn sweep_supervised(
     deployment: &Deployment,
     sup: &Supervisor,
 ) -> Result<SupervisedProvisioning, CarbonError> {
-    sweep_supervised_with_threads(app, deployment, sup, cordoba_par::effective_threads())
-}
-
-/// [`sweep_supervised`] with an explicit worker-thread count (1 = the
-/// exact sequential path). Completed rows are bit-identical at every
-/// thread count.
-///
-/// # Errors
-///
-/// See [`sweep_supervised`].
-pub fn sweep_supervised_with_threads(
-    app: &VrApp,
-    deployment: &Deployment,
-    sup: &Supervisor,
-    threads: usize,
-) -> Result<SupervisedProvisioning, CarbonError> {
     let _span = cordoba_obs::span("soc/provisioning_sweep_supervised");
     let core_counts: Vec<u32> = (4..=8).collect();
     let mut sweep = SupervisedProvisioning {
@@ -298,7 +267,7 @@ pub fn sweep_supervised_with_threads(
         stop: None,
         panics: Vec::new(),
     };
-    sweep.resume_with_threads(app, deployment, sup, threads)?;
+    sweep.resume(app, deployment, sup)?;
     Ok(sweep)
 }
 
@@ -394,9 +363,10 @@ mod tests {
         let direct = sweep(&VrApp::b1(), &Deployment::default()).unwrap();
         for trip in [0u64, 2, 4] {
             let sup = Supervisor::tripping_after(trip);
-            let mut supervised =
-                sweep_supervised_with_threads(&VrApp::b1(), &Deployment::default(), &sup, 1)
-                    .unwrap();
+            let mut supervised = cordoba_par::with_threads(1, || {
+                sweep_supervised(&VrApp::b1(), &Deployment::default(), &sup)
+            })
+            .unwrap();
             assert_eq!(
                 supervised.stop(),
                 Some(StopReason::Cancelled),
@@ -404,14 +374,14 @@ mod tests {
             );
             assert!(supervised.rows().is_none());
             assert_eq!(supervised.completed(), trip as usize);
-            supervised
-                .resume_with_threads(
+            cordoba_par::with_threads(2, || {
+                supervised.resume(
                     &VrApp::b1(),
                     &Deployment::default(),
                     &Supervisor::unbounded(),
-                    2,
                 )
-                .unwrap();
+            })
+            .unwrap();
             assert!(supervised.is_complete());
             assert_eq!(supervised.completed(), supervised.total());
             assert_eq!(supervised.rows().unwrap(), direct, "trip {trip}");

@@ -176,7 +176,9 @@ fn evaluate_space_matches_the_retained_scalar_path() {
         let auto = evaluate_space(&configs, &task, &model).unwrap();
         assert_eq!(scalar, auto, "seed {seed}, auto threads");
         for threads in [1, 2, 4, 16] {
-            let batch = evaluate_space_with_threads(&configs, &task, &model, threads).unwrap();
+            let batch =
+                cordoba_par::with_threads(threads, || evaluate_space(&configs, &task, &model))
+                    .unwrap();
             assert_eq!(scalar, batch, "seed {seed}, {threads} threads");
         }
     }
@@ -225,7 +227,9 @@ fn resilient_quarantine_matches_the_scalar_path_under_failures() {
             }
         }
         for threads in [1, 2, 16] {
-            let batch = evaluate_space_resilient_with_threads(&configs, &task, &model, threads);
+            let batch = cordoba_par::with_threads(threads, || {
+                evaluate_space_resilient(&configs, &task, &model)
+            });
             assert_eq!(
                 scalar_points, batch.points,
                 "seed {seed}, {threads} threads"
@@ -253,15 +257,19 @@ fn supervised_interrupt_and_resume_match_an_uninterrupted_run() {
             let at = index(&mut rng, configs.len() + 1);
             configs.insert(at, poisoned_config(&format!("poison{p}")));
         }
-        let direct = evaluate_space_resilient_with_threads(&configs, &task, &model, 1);
+        let direct =
+            cordoba_par::with_threads(1, || evaluate_space_resilient(&configs, &task, &model));
         let trip = index(&mut rng, configs.len() + 1) as u64;
         let threads = [1, 2, 16][index(&mut rng, 3)];
         let sup = Supervisor::tripping_after(trip);
-        let mut eval =
-            evaluate_space_supervised_with_threads(&configs, &task, &model, &sup, threads);
+        let mut eval = cordoba_par::with_threads(threads, || {
+            evaluate_space_supervised(&configs, &task, &model, &sup)
+        });
         if !eval.is_complete() {
-            eval.resume_with_threads(&configs, &task, &model, &Supervisor::unbounded(), threads)
-                .unwrap();
+            cordoba_par::with_threads(threads, || {
+                eval.resume(&configs, &task, &model, &Supervisor::unbounded())
+            })
+            .unwrap();
         }
         assert!(eval.is_complete(), "seed {seed}");
         let merged = eval.to_resilient().unwrap();
@@ -280,7 +288,8 @@ fn op_time_sweep_rows_match_manual_scalar_rows() {
         let mut rng = StdRng::seed_from_u64(0x0775 ^ seed);
         let configs = random_configs(&mut rng);
         let task = random_task(&mut rng);
-        let points = evaluate_space_with_threads(&configs, &task, &model, 1).unwrap();
+        let points =
+            cordoba_par::with_threads(1, || evaluate_space(&configs, &task, &model)).unwrap();
         let counts: Vec<f64> = (0..1 + index(&mut rng, 24))
             .map(|_| 10f64.powf(1.0 + 8.0 * rng.gen::<f64>()))
             .collect();
@@ -293,12 +302,9 @@ fn op_time_sweep_rows_match_manual_scalar_rows() {
             })
             .collect();
         for threads in [1, 2, 16] {
-            let sweep = OpTimeSweep::with_threads(
-                points.clone(),
-                counts.clone(),
-                grids::US_AVERAGE,
-                threads,
-            )
+            let sweep = cordoba_par::with_threads(threads, || {
+                OpTimeSweep::new(points.clone(), counts.clone(), grids::US_AVERAGE)
+            })
             .unwrap();
             assert_eq!(
                 sweep.tcdp_matrix().len(),

@@ -8,7 +8,6 @@
 //! the single function keeps the enable/disable toggles race-free.
 
 use cordoba::prelude::*;
-use cordoba::uncertainty::monte_carlo_tcdp_with_threads;
 use cordoba_accel::config::AcceleratorConfig;
 use cordoba_accel::config::MemoryIntegration;
 use cordoba_accel::params::TechTuning;
@@ -16,6 +15,7 @@ use cordoba_accel::space::design_space;
 use cordoba_carbon::embodied::EmbodiedModel;
 use cordoba_carbon::intensity::grids;
 use cordoba_carbon::units::Bytes;
+use cordoba_par::with_threads;
 use cordoba_workloads::task::Task;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -74,6 +74,10 @@ struct CaseResult {
 }
 
 fn run_case(seed: u64, threads: usize) -> CaseResult {
+    let threads = match threads {
+        0 => cordoba_par::effective_threads(),
+        n => n,
+    };
     let model = EmbodiedModel::default();
     let mut rng = StdRng::seed_from_u64(0x0B5D ^ seed);
     let mut configs = random_configs(&mut rng);
@@ -84,7 +88,9 @@ fn run_case(seed: u64, threads: usize) -> CaseResult {
         configs.insert(at, poisoned_config(&format!("poison{p}")));
     }
 
-    let resilient = evaluate_space_resilient_with_threads(&configs, &task, &model, threads);
+    let resilient = with_threads(threads, || {
+        evaluate_space_resilient(&configs, &task, &model)
+    });
     let quarantined = resilient
         .failures
         .iter()
@@ -94,9 +100,10 @@ fn run_case(seed: u64, threads: usize) -> CaseResult {
     let counts: Vec<f64> = (0..1 + index(&mut rng, 10))
         .map(|_| 10f64.powf(1.0 + 8.0 * rng.gen::<f64>()))
         .collect();
-    let sweep =
-        OpTimeSweep::with_threads(resilient.points.clone(), counts, grids::US_AVERAGE, threads)
-            .unwrap();
+    let sweep = with_threads(threads, || {
+        OpTimeSweep::new(resilient.points.clone(), counts, grids::US_AVERAGE)
+    })
+    .unwrap();
 
     let beta_sweep = BetaSweep::run(&resilient.points);
 
@@ -111,13 +118,13 @@ fn run_case(seed: u64, threads: usize) -> CaseResult {
     let attribution = report.to_json();
     let beta = format!(
         "{:?}",
-        beta_sweep
-            .solve_transitions_with_threads(0.0, 1e3, 1e-3, 4_000, threads)
-            .unwrap()
+        with_threads(threads, || beta_sweep
+            .solve_transitions(0.0, 1e3, 1e-3, 4_000))
+        .unwrap()
     );
 
     let spec = MonteCarloSpec::new(64, 0xDE7E ^ seed);
-    let mc = monte_carlo_tcdp_with_threads(&resilient.points[0], &spec, threads).unwrap();
+    let mc = with_threads(threads, || monte_carlo_tcdp(&resilient.points[0], &spec)).unwrap();
 
     CaseResult {
         points: resilient.points,

@@ -8,10 +8,6 @@
 //! the suite, and every case compares `threads = 1` against 2, 4, and 16.
 
 use cordoba::prelude::*;
-use cordoba::uncertainty::{
-    monte_carlo_regret_with_threads, monte_carlo_source_tcdp_sampled_with_threads,
-    monte_carlo_source_tcdp_with_threads, monte_carlo_tcdp_with_threads,
-};
 use cordoba_accel::config::{AcceleratorConfig, MemoryIntegration};
 use cordoba_accel::params::TechTuning;
 use cordoba_accel::space::design_space;
@@ -20,6 +16,7 @@ use cordoba_carbon::integral::CiIntegral;
 use cordoba_carbon::intensity::grids;
 use cordoba_carbon::intensity::{ConstantCi, SeasonalCi, TrendCi};
 use cordoba_carbon::units::Bytes;
+use cordoba_par::with_threads;
 use cordoba_workloads::task::Task;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -76,9 +73,10 @@ fn evaluate_space_is_bit_identical_across_thread_counts() {
         let mut rng = StdRng::seed_from_u64(0xE5A1 ^ seed);
         let configs = random_configs(&mut rng);
         let task = random_task(&mut rng);
-        let sequential = evaluate_space_with_threads(&configs, &task, &model, 1).unwrap();
+        let sequential = with_threads(1, || evaluate_space(&configs, &task, &model)).unwrap();
         for threads in THREAD_COUNTS {
-            let parallel = evaluate_space_with_threads(&configs, &task, &model, threads).unwrap();
+            let parallel =
+                with_threads(threads, || evaluate_space(&configs, &task, &model)).unwrap();
             assert_eq!(sequential, parallel, "seed {seed}, {threads} threads");
         }
     }
@@ -91,20 +89,18 @@ fn op_time_sweep_is_bit_identical_across_thread_counts() {
         let mut rng = StdRng::seed_from_u64(0x0F5E ^ seed);
         let configs = random_configs(&mut rng);
         let task = random_task(&mut rng);
-        let points = evaluate_space_with_threads(&configs, &task, &model, 1).unwrap();
+        let points = with_threads(1, || evaluate_space(&configs, &task, &model)).unwrap();
         let counts: Vec<f64> = (0..1 + index(&mut rng, 40))
             .map(|_| 10f64.powf(1.0 + 8.0 * rng.gen::<f64>()))
             .collect();
-        let sequential =
-            OpTimeSweep::with_threads(points.clone(), counts.clone(), grids::US_AVERAGE, 1)
-                .unwrap();
+        let sequential = with_threads(1, || {
+            OpTimeSweep::new(points.clone(), counts.clone(), grids::US_AVERAGE)
+        })
+        .unwrap();
         for threads in THREAD_COUNTS {
-            let parallel = OpTimeSweep::with_threads(
-                points.clone(),
-                counts.clone(),
-                grids::US_AVERAGE,
-                threads,
-            )
+            let parallel = with_threads(threads, || {
+                OpTimeSweep::new(points.clone(), counts.clone(), grids::US_AVERAGE)
+            })
             .unwrap();
             assert_eq!(sequential, parallel, "seed {seed}, {threads} threads");
         }
@@ -116,24 +112,24 @@ fn monte_carlo_is_bit_identical_across_thread_counts() {
     let model = EmbodiedModel::default();
     let space = design_space();
     let task = Task::xr_5_kernels();
-    let points = evaluate_space_with_threads(&space, &task, &model, 1).unwrap();
+    let points = with_threads(1, || evaluate_space(&space, &task, &model)).unwrap();
     for seed in 0..40u64 {
         let mut rng = StdRng::seed_from_u64(0x3CA0 ^ seed);
         let samples = 1 + index(&mut rng, 300);
         let spec = MonteCarloSpec::new(samples, rng.gen::<u64>());
         let point = &points[index(&mut rng, points.len())];
-        let sequential = monte_carlo_tcdp_with_threads(point, &spec, 1).unwrap();
+        let sequential = with_threads(1, || monte_carlo_tcdp(point, &spec)).unwrap();
         assert_eq!(sequential.samples, samples);
         // A handful of candidates for the regret study, sequential baseline.
         let candidates: Vec<DesignPoint> = (0..2 + index(&mut rng, 6))
             .map(|_| points[index(&mut rng, points.len())].clone())
             .collect();
-        let regret_sequential = monte_carlo_regret_with_threads(&candidates, &spec, 1).unwrap();
+        let regret_sequential = with_threads(1, || monte_carlo_regret(&candidates, &spec)).unwrap();
         for threads in THREAD_COUNTS {
-            let parallel = monte_carlo_tcdp_with_threads(point, &spec, threads).unwrap();
+            let parallel = with_threads(threads, || monte_carlo_tcdp(point, &spec)).unwrap();
             assert_eq!(sequential, parallel, "seed {seed}, {threads} threads");
             let regret_parallel =
-                monte_carlo_regret_with_threads(&candidates, &spec, threads).unwrap();
+                with_threads(threads, || monte_carlo_regret(&candidates, &spec)).unwrap();
             assert_eq!(
                 regret_sequential, regret_parallel,
                 "regret: seed {seed}, {threads} threads"
@@ -147,7 +143,7 @@ fn source_monte_carlo_is_bit_identical_across_thread_counts() {
     let model = EmbodiedModel::default();
     let space = design_space();
     let task = Task::ai_5_kernels();
-    let points = evaluate_space_with_threads(&space, &task, &model, 1).unwrap();
+    let points = with_threads(1, || evaluate_space(&space, &task, &model)).unwrap();
     let flat = ConstantCi::new(grids::US_AVERAGE);
     let trend = TrendCi::new(grids::COAL, 0.12).unwrap();
     let seasonal = SeasonalCi::solar_rich();
@@ -157,17 +153,21 @@ fn source_monte_carlo_is_bit_identical_across_thread_counts() {
         let samples = 1 + index(&mut rng, 300);
         let spec = SourceMonteCarloSpec::new(samples, rng.gen::<u64>());
         let point = &points[index(&mut rng, points.len())];
-        let sequential = monte_carlo_source_tcdp_with_threads(point, &sources, &spec, 1).unwrap();
+        let sequential =
+            with_threads(1, || monte_carlo_source_tcdp(point, &sources, &spec)).unwrap();
         assert_eq!(sequential.samples, samples);
-        let sampled_sequential =
-            monte_carlo_source_tcdp_sampled_with_threads(point, &sources, &spec, 32, 1).unwrap();
+        let sampled_sequential = with_threads(1, || {
+            monte_carlo_source_tcdp_sampled(point, &sources, &spec, 32)
+        })
+        .unwrap();
         for threads in THREAD_COUNTS {
             let parallel =
-                monte_carlo_source_tcdp_with_threads(point, &sources, &spec, threads).unwrap();
+                with_threads(threads, || monte_carlo_source_tcdp(point, &sources, &spec)).unwrap();
             assert_eq!(sequential, parallel, "seed {seed}, {threads} threads");
-            let sampled_parallel =
-                monte_carlo_source_tcdp_sampled_with_threads(point, &sources, &spec, 32, threads)
-                    .unwrap();
+            let sampled_parallel = with_threads(threads, || {
+                monte_carlo_source_tcdp_sampled(point, &sources, &spec, 32)
+            })
+            .unwrap();
             assert_eq!(
                 sampled_sequential, sampled_parallel,
                 "sampled: seed {seed}, {threads} threads"
@@ -189,11 +189,13 @@ fn resilient_evaluation_preserves_failure_ordering() {
             let at = index(&mut rng, configs.len() + 1);
             configs.insert(at, poisoned_config(&format!("poison{p}")));
         }
-        let sequential = evaluate_space_resilient_with_threads(&configs, &task, &model, 1);
+        let sequential = with_threads(1, || evaluate_space_resilient(&configs, &task, &model));
         assert_eq!(sequential.points.len(), healthy, "seed {seed}");
         assert_eq!(sequential.failures.len(), poisons, "seed {seed}");
         for threads in THREAD_COUNTS {
-            let parallel = evaluate_space_resilient_with_threads(&configs, &task, &model, threads);
+            let parallel = with_threads(threads, || {
+                evaluate_space_resilient(&configs, &task, &model)
+            });
             assert_eq!(
                 sequential.points, parallel.points,
                 "seed {seed}, {threads} threads"
@@ -232,7 +234,7 @@ fn resilient_evaluation_preserves_failure_ordering() {
 fn beta_transitions_are_bit_identical_across_thread_counts() {
     let model = EmbodiedModel::default();
     let space = design_space();
-    let points = evaluate_space_with_threads(&space, &Task::all_kernels(), &model, 1).unwrap();
+    let points = with_threads(1, || evaluate_space(&space, &Task::all_kernels(), &model)).unwrap();
     let sweep = BetaSweep::run(&points);
     for seed in 0..30u64 {
         let mut rng = StdRng::seed_from_u64(0xBE7A ^ seed);
@@ -240,13 +242,13 @@ fn beta_transitions_are_bit_identical_across_thread_counts() {
         let beta_hi = beta_lo + 1.0 + 400.0 * rng.gen::<f64>();
         let tol = 1e-4 + rng.gen::<f64>();
         let budget = index(&mut rng, 400);
-        let sequential = sweep
-            .solve_transitions_with_threads(beta_lo, beta_hi, tol, budget, 1)
-            .unwrap();
+        let sequential =
+            with_threads(1, || sweep.solve_transitions(beta_lo, beta_hi, tol, budget)).unwrap();
         for threads in THREAD_COUNTS {
-            let parallel = sweep
-                .solve_transitions_with_threads(beta_lo, beta_hi, tol, budget, threads)
-                .unwrap();
+            let parallel = with_threads(threads, || {
+                sweep.solve_transitions(beta_lo, beta_hi, tol, budget)
+            })
+            .unwrap();
             assert_eq!(sequential, parallel, "seed {seed}, {threads} threads");
         }
     }
