@@ -442,7 +442,7 @@ fn main() {
             || {
                 let sup = Supervisor::unbounded();
                 let eval = evaluate_space_supervised(black_box(&configs), &task, &model, &sup);
-                black_box(eval.is_complete());
+                black_box(eval.slots().is_complete());
             },
         );
         results.push((

@@ -679,14 +679,18 @@ fn dse_stored(
 /// Handles an interrupted `dse` sweep: writes the checkpoint to
 /// `--checkpoint` (an error without one — progress would be lost
 /// silently) and reports coverage plus the resume command.
-fn dse_checkpoint(args: &Args, partial: PartialSweep, mut out: String) -> Result<String, CliError> {
+fn dse_checkpoint(
+    args: &Args,
+    partial: SweepCheckpoint,
+    mut out: String,
+) -> Result<String, CliError> {
     let report = partial.coverage_report();
     let Some(path) = args.get("checkpoint") else {
         return Err(CliError::Usage(format!(
             "{report}; re-run with --checkpoint <file> to save progress"
         )));
     };
-    std::fs::write(path, partial.checkpoint.to_text())
+    std::fs::write(path, partial.to_text())
         .map_err(|e| CliError::Usage(format!("cannot write {path}: {e}")))?;
     let _ = writeln!(out, "{report}");
     let _ = writeln!(
@@ -708,8 +712,8 @@ fn dse_resume(args: &Args, path: &str, deadline: Option<Duration>) -> Result<Str
     let _ = writeln!(
         out,
         "resuming {path}: {}/{} rows already complete | grid: {}",
-        checkpoint.completed_rows(),
-        checkpoint.total_rows(),
+        checkpoint.slots().completed(),
+        checkpoint.slots().total(),
         checkpoint.ci_use()
     );
     let sup = match deadline {
@@ -726,7 +730,7 @@ fn dse_resume(args: &Args, path: &str, deadline: Option<Duration>) -> Result<Str
         SupervisedSweep::Partial(partial) => {
             if args.get("checkpoint").is_none() {
                 let report = partial.coverage_report();
-                std::fs::write(path, partial.checkpoint.to_text())
+                std::fs::write(path, partial.to_text())
                     .map_err(|e| CliError::Usage(format!("cannot write {path}: {e}")))?;
                 let _ = writeln!(out, "{report}");
                 let _ = writeln!(
@@ -1208,7 +1212,7 @@ fn doctor_supervision(out: &mut String) -> Result<(), CliError> {
         &Supervisor::with_deadline(Duration::ZERO),
     )?
     .partial()
-    .is_some_and(|p| p.checkpoint.completed_rows() == 0);
+    .is_some_and(|p| p.slots().completed() == 0);
     let _ = writeln!(
         out,
         "  deadline-bounded sweep: {}",
@@ -1231,8 +1235,8 @@ fn doctor_supervision(out: &mut String) -> Result<(), CliError> {
     .partial();
     let (roundtrip_ok, resume_ok) = match partial {
         Some(p) => {
-            let restored = SweepCheckpoint::from_text(&p.checkpoint.to_text()).ok();
-            let roundtrip = restored.as_ref() == Some(&p.checkpoint);
+            let restored = SweepCheckpoint::from_text(&p.to_text()).ok();
+            let roundtrip = restored.as_ref() == Some(&p);
             let resumed = restored
                 .and_then(|c| c.resume(&Supervisor::unbounded()).ok())
                 .and_then(SupervisedSweep::complete);
@@ -1259,7 +1263,8 @@ fn doctor_supervision(out: &mut String) -> Result<(), CliError> {
     // quarantined outcome with the process intact and its peers computed.
     install_panic_probe_filter();
     let items = [0u32, 1, 2];
-    let run = cordoba_par::par_map_supervised(&items, &Supervisor::unbounded(), |_, &x| {
+    let hint = cordoba_par::CostHint::per_item_ns(1);
+    let run = cordoba_par::par_map_supervised(&items, hint, &Supervisor::unbounded(), |_, &x| {
         if x == 1 {
             // Deliberate: this probe exists to prove panics are isolated.
             panic!("{PANIC_PROBE} deliberate probe panic"); // cordoba-lint: allow(no-panic)

@@ -103,8 +103,8 @@ pub mod prelude {
         beta_sweep_stored, evaluate_space_multi_stored, evaluate_space_stored, op_time_sweep_stored,
     };
     pub use crate::supervise::{
-        evaluate_space_supervised, op_time_sweep_supervised, PartialSweep, SupervisedEval,
-        SupervisedSweep, SweepCheckpoint,
+        evaluate_space_supervised, op_time_sweep_supervised, SupervisedEval, SupervisedSweep,
+        SweepCheckpoint,
     };
     pub use crate::uncertainty::{
         context_for_embodied_share, domain_analysis, monte_carlo_regret,

@@ -219,7 +219,8 @@ fn encode_points(points: &[DesignPoint]) -> Vec<String> {
 /// the iterator. Returns `None` on any structural damage.
 fn decode_points<'a>(lines: &mut impl Iterator<Item = &'a String>) -> Option<Vec<DesignPoint>> {
     let count: usize = lines.next()?.strip_prefix("points ")?.parse().ok()?;
-    let mut points = Vec::with_capacity(count);
+    // The count is untrusted: never reserve more than the lines left.
+    let mut points = Vec::with_capacity(count.min(lines.size_hint().1.unwrap_or(0)));
     for _ in 0..count {
         let mut fields = lines.next()?.strip_prefix("p ")?.splitn(5, ' ');
         let delay = parse_hex_f64(fields.next()?)?;
@@ -560,16 +561,32 @@ mod tests {
         let task = Task::ai_5_kernels();
         let model = EmbodiedModel::default();
         let fresh = evaluate_space_stored(&configs, &task, &model, &store).unwrap();
-        // Overwrite the entry with a *structurally valid* store file whose
-        // payload is semantically damaged: decode fails, compute happens.
         let key = evaluate_space_key(&configs, &task, &model);
-        store
-            .put(KIND_EVAL_SPACE, key, &["points 999".to_string()])
-            .unwrap();
-        let recovered = evaluate_space_stored(&configs, &task, &model, &store).unwrap();
-        assert_eq!(recovered, fresh);
-        // The recompute healed the entry in place.
-        let healed = evaluate_space_stored(&configs, &task, &model, &store).unwrap();
-        assert_eq!(healed, fresh);
+        let entry_dir = store.root().join(KIND_EVAL_SPACE);
+        // Damage the entry: a *structurally valid* store file whose payload
+        // is semantically damaged or claims a hostile point count, then a
+        // hostile `lines` count in the entry header on disk. Each time the
+        // read is a miss, compute happens, and the entry heals.
+        for damage in ["points 999", "points 18446744073709551615", "lines"] {
+            if damage == "lines" {
+                for file in std::fs::read_dir(&entry_dir).unwrap() {
+                    let path = file.unwrap().path();
+                    let text = std::fs::read_to_string(&path).unwrap();
+                    let count = text.lines().find(|l| l.starts_with("lines ")).unwrap();
+                    let hostile = text.replacen(count, "lines 18446744073709551615", 1);
+                    std::fs::write(&path, hostile).unwrap();
+                }
+            } else {
+                store
+                    .put(KIND_EVAL_SPACE, key, &[damage.to_string()])
+                    .unwrap();
+            }
+            let recovered = evaluate_space_stored(&configs, &task, &model, &store).unwrap();
+            assert_eq!(recovered, fresh, "{damage}");
+            // The recompute healed the entry in place.
+            let healed = evaluate_space_stored(&configs, &task, &model, &store).unwrap();
+            assert_eq!(healed, fresh, "{damage}");
+        }
+        assert!(store.contains(KIND_EVAL_SPACE, key));
     }
 }

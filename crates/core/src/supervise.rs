@@ -2,19 +2,21 @@
 //!
 //! The framework-layer face of the execution-supervision substrate in
 //! [`cordoba_par::supervise`]: every long-running pipeline here accepts a
-//! [`Supervisor`] and, instead of running all-or-nothing, returns a
-//! *partial result keyed by input index* when the supervisor stops it —
-//! plus enough state to resume later and land on the exact bits an
-//! uninterrupted run would have produced.
+//! [`Supervisor`] and, instead of running all-or-nothing, keeps a
+//! [`Slots`] table — a *partial result keyed by input index* — that
+//! resumes later and lands on the exact bits an uninterrupted run would
+//! have produced. Each pipeline only adds its own failure policy on top of
+//! [`Slots::advance`].
 //!
 //! * [`evaluate_space_supervised`] — design-space characterization with
-//!   per-configuration outcomes (done / quarantined / pending) and
-//!   in-place [`SupervisedEval::resume`];
+//!   per-configuration slots (done / quarantined / pending) and in-place
+//!   [`SupervisedEval::resume`]; failures are quarantined, not returned;
 //! * [`op_time_sweep_supervised`] — the Fig. 8 tCDP grid with row-level
-//!   checkpointing: an interrupted sweep yields a [`PartialSweep`] whose
-//!   [`SweepCheckpoint`] serializes to a deterministic text format
+//!   checkpointing: an interrupted sweep yields a [`SweepCheckpoint`] that
+//!   serializes to a deterministic text format
 //!   ([`SweepCheckpoint::to_text`]) the CLI writes to disk and resumes
-//!   from (`dse --deadline … --checkpoint …` / `dse --resume …`).
+//!   from (`dse --deadline … --checkpoint …` / `dse --resume …`); the
+//!   first failing row in input order aborts the sweep.
 //!
 //! # Determinism argument
 //!
@@ -34,76 +36,36 @@ use cordoba_carbon::embodied::EmbodiedModel;
 use cordoba_carbon::units::{CarbonIntensity, Seconds};
 use cordoba_carbon::CarbonError;
 use cordoba_obs::Event;
-use cordoba_par::supervise::{Outcome, StopReason, Supervisor};
+use cordoba_par::supervise::{panic_message, Failure, Slots, StopReason, Supervisor};
+use cordoba_par::CostHint;
 use cordoba_store::{hex_f64, parse_hex_f64};
 use cordoba_workloads::task::Task;
 use std::fmt::Write as _;
 
-/// Per-configuration state of a supervised space evaluation.
-#[derive(Debug, Clone, PartialEq)]
-enum EvalSlot {
-    /// Characterized successfully.
-    Done(DesignPoint),
-    /// Quarantined: evaluation returned an error or panicked.
-    Failed(EvalFailure),
-    /// Not attempted yet (the run stopped first).
-    Pending,
+/// The first failure of a [`Slots::advance`] (failures come back in
+/// ascending index order, so this is the first in input order) as an
+/// error, with a panic becoming [`CoreError::Panicked`].
+pub(crate) fn first_failure(failures: Vec<(usize, Failure<CoreError>)>) -> Result<(), CoreError> {
+    match failures.into_iter().next() {
+        Some((_, failure)) => Err(failure.into_error(CoreError::Panicked)),
+        None => Ok(()),
+    }
 }
 
-/// Outcome of [`evaluate_space_supervised`]: one slot per configuration,
-/// resumable in place until every slot is resolved.
+/// Outcome of [`evaluate_space_supervised`]: one slot per configuration —
+/// a design point, or the quarantined failure — resumable in place until
+/// every slot is resolved.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SupervisedEval {
-    slots: Vec<EvalSlot>,
-    stop: Option<StopReason>,
+    slots: Slots<Result<DesignPoint, EvalFailure>>,
 }
 
 impl SupervisedEval {
-    /// Why the last run/resume stopped early, or `None` when every
-    /// configuration has been attempted.
+    /// Per-configuration progress: a slot is filled once its
+    /// configuration was characterized or quarantined.
     #[must_use]
-    pub fn stop(&self) -> Option<StopReason> {
-        self.stop
-    }
-
-    /// `true` when every configuration was attempted (done or quarantined).
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.stop.is_none()
-    }
-
-    /// Indices of configurations not yet attempted, ascending.
-    #[must_use]
-    pub fn pending_indices(&self) -> Vec<usize> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| matches!(s, EvalSlot::Pending).then_some(i))
-            .collect()
-    }
-
-    /// Configurations attempted so far (done + quarantined).
-    #[must_use]
-    pub fn attempted(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| !matches!(s, EvalSlot::Pending))
-            .count()
-    }
-
-    /// Total configurations in the evaluation.
-    #[must_use]
-    pub fn total(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Attempted fraction in `[0, 1]` (1.0 for an empty space).
-    #[must_use]
-    pub fn coverage(&self) -> f64 {
-        if self.slots.is_empty() {
-            return 1.0;
-        }
-        self.attempted() as f64 / self.slots.len() as f64
+    pub fn slots(&self) -> &Slots<Result<DesignPoint, EvalFailure>> {
+        &self.slots
     }
 
     /// The completed evaluation as a [`ResilientEval`] (points and
@@ -111,15 +73,11 @@ impl SupervisedEval {
     /// configurations are still pending.
     #[must_use]
     pub fn to_resilient(&self) -> Option<ResilientEval> {
-        if !self.is_complete() {
-            return None;
-        }
         let mut result = ResilientEval::default();
-        for slot in &self.slots {
+        for slot in self.slots.values()? {
             match slot {
-                EvalSlot::Done(point) => result.points.push(point.clone()),
-                EvalSlot::Failed(failure) => result.failures.push(failure.clone()),
-                EvalSlot::Pending => return None,
+                Ok(point) => result.points.push(point.clone()),
+                Err(failure) => result.failures.push(failure.clone()),
             }
         }
         Some(result)
@@ -141,62 +99,29 @@ impl SupervisedEval {
         embodied: &EmbodiedModel,
         sup: &Supervisor,
     ) -> Result<(), CoreError> {
-        if configs.len() != self.slots.len() {
+        if configs.len() != self.slots.total() {
             return Err(CoreError::Supervision(format!(
                 "resume got {} configs but the evaluation has {} slots",
                 configs.len(),
-                self.slots.len()
+                self.slots.total()
             )));
         }
-        self.advance(configs, task, embodied, sup);
-        Ok(())
-    }
-
-    /// Runs the supervised map over the pending indices and fills slots.
-    fn advance(
-        &mut self,
-        configs: &[AcceleratorConfig],
-        task: &Task,
-        embodied: &EmbodiedModel,
-        sup: &Supervisor,
-    ) {
-        let pending = self.pending_indices();
-        if pending.is_empty() {
-            self.stop = None;
-            return;
-        }
         // The batch state (SoA tuning arrays, task plan, embodied memo) is
-        // built once per advance; the supervised map still isolates panics
-        // and checks the stop flag per configuration, so interrupt/resume
-        // semantics are unchanged from the scalar path.
+        // built once per resume; the supervised map still isolates panics
+        // and checks the stop flag per configuration.
         let batch = EvalBatch::new(configs, task, embodied);
-        let run = cordoba_par::par_map_supervised_hinted(
-            &pending,
-            cordoba_par::CostHint::per_item_ns(crate::dse::EVAL_NS_PER_CONFIG),
+        let failures = self.slots.advance(
+            CostHint::per_item_ns(crate::dse::EVAL_NS_PER_CONFIG),
             sup,
-            |_, &idx| batch.design_point(idx),
+            |idx| batch.design_point(idx).map(Ok),
         );
-        for (&idx, outcome) in pending.iter().zip(run.outcomes) {
-            match outcome {
-                Outcome::Done(Ok(point)) => self.slots[idx] = EvalSlot::Done(point),
-                Outcome::Done(Err(error)) => {
-                    cordoba_obs::record(&Event::Quarantine);
-                    self.slots[idx] = EvalSlot::Failed(EvalFailure {
-                        name: configs[idx].name().to_string(),
-                        error,
-                    });
-                }
-                Outcome::Panicked(message) => {
-                    cordoba_obs::record(&Event::Quarantine);
-                    self.slots[idx] = EvalSlot::Failed(EvalFailure {
-                        name: configs[idx].name().to_string(),
-                        error: CoreError::Panicked(message),
-                    });
-                }
-                Outcome::Skipped => {}
-            }
+        for (idx, failure) in failures {
+            cordoba_obs::record(&Event::Quarantine);
+            let name = configs[idx].name().to_string();
+            let error = failure.into_error(CoreError::Panicked);
+            self.slots.fill(idx, Err(EvalFailure { name, error }));
         }
-        self.stop = run.stop;
+        Ok(())
     }
 }
 
@@ -218,10 +143,10 @@ pub fn evaluate_space_supervised(
         u64::try_from(configs.len()).unwrap_or(u64::MAX),
     );
     let mut eval = SupervisedEval {
-        slots: vec![EvalSlot::Pending; configs.len()],
-        stop: None,
+        slots: Slots::new(configs.len()),
     };
-    eval.advance(configs, task, embodied, sup);
+    // The slot count matches `configs` by construction.
+    let _ = eval.resume(configs, task, embodied, sup);
     eval
 }
 
@@ -231,9 +156,9 @@ pub enum SupervisedSweep {
     /// Every row was computed; the sweep is bit-identical to
     /// [`OpTimeSweep::new`] on the same inputs.
     Complete(OpTimeSweep),
-    /// The supervisor stopped the sweep; the partial result can be
-    /// serialized and resumed.
-    Partial(PartialSweep),
+    /// The supervisor stopped the sweep; the checkpoint holds every
+    /// computed row and can be serialized and resumed.
+    Partial(SweepCheckpoint),
 }
 
 impl SupervisedSweep {
@@ -246,37 +171,19 @@ impl SupervisedSweep {
         }
     }
 
-    /// The partial result, if the run was interrupted.
+    /// The checkpoint, if the run was interrupted.
     #[must_use]
-    pub fn partial(self) -> Option<PartialSweep> {
+    pub fn partial(self) -> Option<SweepCheckpoint> {
         match self {
             Self::Complete(_) => None,
-            Self::Partial(partial) => Some(partial),
+            Self::Partial(checkpoint) => Some(checkpoint),
         }
     }
 }
 
-/// An interrupted sweep: the checkpoint holding every computed row plus
-/// the reason the run stopped.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartialSweep {
-    /// Resumable sweep state (serialize with [`SweepCheckpoint::to_text`]).
-    pub checkpoint: SweepCheckpoint,
-    /// Why the sweep stopped.
-    pub reason: StopReason,
-}
-
-impl PartialSweep {
-    /// A one-paragraph human-readable coverage report for CLI output and
-    /// logs.
-    #[must_use]
-    pub fn coverage_report(&self) -> String {
-        self.checkpoint.coverage_report()
-    }
-}
-
 /// Resumable state of an interrupted [`OpTimeSweep`]: the inputs plus
-/// every tCDP row already computed, keyed by row index.
+/// every tCDP row already computed, keyed by row index, and the reason the
+/// run stopped.
 ///
 /// The serialized form ([`to_text`](Self::to_text) /
 /// [`from_text`](Self::from_text)) is a line-oriented text format in which
@@ -288,11 +195,8 @@ pub struct SweepCheckpoint {
     points: Vec<DesignPoint>,
     task_counts: Vec<f64>,
     ci_use: CarbonIntensity,
-    /// `rows[n]` is the tCDP row for `task_counts[n]`, `None` while
-    /// pending.
-    rows: Vec<Option<Vec<f64>>>,
-    /// Why the originating run stopped.
-    reason: StopReason,
+    /// Slot `n` holds the tCDP row for `task_counts[n]`.
+    rows: Slots<Vec<f64>>,
 }
 
 /// Magic first line of the checkpoint format (versioned).
@@ -327,38 +231,16 @@ impl SweepCheckpoint {
     /// Why the originating run stopped.
     #[must_use]
     pub fn reason(&self) -> StopReason {
-        self.reason
+        // A checkpoint only exists for a stopped run (an interrupted sweep
+        // or a parsed file), so the fallback never fires.
+        self.rows.stop().unwrap_or(StopReason::Cancelled)
     }
 
-    /// Rows already computed.
+    /// Per-row progress: slot `n` is filled once the tCDP row for
+    /// `task_counts()[n]` is computed.
     #[must_use]
-    pub fn completed_rows(&self) -> usize {
-        self.rows.iter().filter(|r| r.is_some()).count()
-    }
-
-    /// Total rows in the sweep.
-    #[must_use]
-    pub fn total_rows(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Completed fraction in `[0, 1]`.
-    #[must_use]
-    pub fn coverage(&self) -> f64 {
-        if self.rows.is_empty() {
-            return 1.0;
-        }
-        self.completed_rows() as f64 / self.rows.len() as f64
-    }
-
-    /// Indices of rows still pending, ascending.
-    #[must_use]
-    pub fn pending_rows(&self) -> Vec<usize> {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.is_none().then_some(i))
-            .collect()
+    pub fn slots(&self) -> &Slots<Vec<f64>> {
+        &self.rows
     }
 
     /// A one-paragraph human-readable coverage report.
@@ -366,10 +248,10 @@ impl SweepCheckpoint {
     pub fn coverage_report(&self) -> String {
         format!(
             "sweep interrupted ({}): {}/{} rows complete ({:.1}%), {} designs",
-            self.reason,
-            self.completed_rows(),
-            self.total_rows(),
-            self.coverage() * 100.0,
+            self.reason(),
+            self.rows.completed(),
+            self.rows.total(),
+            self.rows.coverage() * 100.0,
             self.points.len(),
         )
     }
@@ -385,40 +267,39 @@ impl SweepCheckpoint {
     /// invalid and [`CoreError::Panicked`] when a row computation panics
     /// (first failing row in input order, either way).
     pub fn resume(mut self, sup: &Supervisor) -> Result<SupervisedSweep, CoreError> {
-        let advance = advance_rows(
-            &mut self.rows,
-            &self.points,
-            &self.task_counts,
-            self.ci_use,
-            sup,
-        )?;
-        match advance {
-            Advance::CompleteFlat(flat) => {
-                // The streaming path fills exactly rows × points cells, so
-                // the size check cannot fail; the error arm keeps this
-                // total without a panic path.
-                OpTimeSweep::from_flat(self.points, self.task_counts, self.ci_use, flat)
-                    .map(SupervisedSweep::Complete)
-                    .ok_or(CoreError::Carbon(CarbonError::Empty {
-                        what: "tcdp matrix",
-                    }))
-            }
-            Advance::Rows(None) => {
-                let tcdp: Vec<Vec<f64>> = self.rows.into_iter().flatten().collect();
-                Ok(SupervisedSweep::Complete(OpTimeSweep::from_rows(
-                    self.points,
-                    self.task_counts,
-                    self.ci_use,
-                    tcdp,
-                )))
-            }
-            Advance::Rows(Some(reason)) => {
-                self.reason = reason;
-                Ok(SupervisedSweep::Partial(PartialSweep {
-                    checkpoint: self,
-                    reason,
-                }))
-            }
+        let hint = CostHint::per_item_ns(
+            crate::dse::TCDP_NS_PER_POINT.saturating_mul(self.points.len() as u64),
+        );
+        let flat = if self.rows.completed() == 0
+            && hint.workers(self.rows.total(), cordoba_par::effective_threads()) == 1
+        {
+            advance_rows_streaming(
+                &mut self.rows,
+                &self.points,
+                &self.task_counts,
+                self.ci_use,
+                sup,
+            )?
+        } else {
+            let (points, task_counts, ci_use) = (&self.points, &self.task_counts, self.ci_use);
+            first_failure(self.rows.advance(hint, sup, |idx| {
+                let ctx = OperationalContext::new(task_counts[idx], ci_use)?;
+                Ok(points.iter().map(|p| p.tcdp(&ctx).value()).collect())
+            }))?;
+            self.rows
+                .values()
+                .map(|rows| rows.flatten().copied().collect())
+        };
+        match flat {
+            // The flat matrix holds exactly rows × points cells, so the
+            // size check cannot fail; the error arm keeps this total
+            // without a panic path.
+            Some(flat) => OpTimeSweep::from_flat(self.points, self.task_counts, self.ci_use, flat)
+                .map(SupervisedSweep::Complete)
+                .ok_or(CoreError::Carbon(CarbonError::Empty {
+                    what: "tcdp matrix",
+                })),
+            None => Ok(SupervisedSweep::Partial(self)),
         }
     }
 
@@ -430,7 +311,7 @@ impl SweepCheckpoint {
         // Writing to a String cannot fail; the let-bindings keep clippy's
         // unused-result lint satisfied without unwraps.
         let _ = writeln!(out, "{CHECKPOINT_HEADER}");
-        let _ = writeln!(out, "reason {}", self.reason.token());
+        let _ = writeln!(out, "reason {}", self.reason().token());
         let _ = writeln!(out, "ci_use {}", hex_f64(self.ci_use.value()));
         let _ = writeln!(out, "task_counts {}", self.task_counts.len());
         for count in &self.task_counts {
@@ -448,19 +329,17 @@ impl SweepCheckpoint {
                 p.name,
             );
         }
-        let _ = writeln!(out, "rows {}", self.completed_rows());
-        for (idx, row) in self.rows.iter().enumerate() {
-            if let Some(values) = row {
-                let _ = write!(out, "r {idx}");
-                for v in values {
-                    let _ = write!(out, " {}", hex_f64(*v));
-                }
-                let _ = writeln!(out);
+        let _ = writeln!(out, "rows {}", self.rows.completed());
+        for (idx, values) in self.rows.filled() {
+            let _ = write!(out, "r {idx}");
+            for v in values {
+                let _ = write!(out, " {}", hex_f64(*v));
             }
+            let _ = writeln!(out);
         }
         let _ = writeln!(out, "end");
         cordoba_obs::record(&Event::CheckpointWritten {
-            completed: u64::try_from(self.completed_rows()).unwrap_or(u64::MAX),
+            completed: u64::try_from(self.rows.completed()).unwrap_or(u64::MAX),
         });
         out
     }
@@ -468,6 +347,10 @@ impl SweepCheckpoint {
     /// Parses and validates a checkpoint written by
     /// [`to_text`](Self::to_text), recording a checkpoint-restored
     /// supervision event on success.
+    ///
+    /// Header counts are never trusted for allocation: every section grows
+    /// one parsed line at a time, so a hostile count fails as truncation
+    /// once the file runs out of lines.
     ///
     /// # Errors
     ///
@@ -506,7 +389,7 @@ impl SweepCheckpoint {
         if n == 0 {
             return Err(bad("empty task-count axis".to_string()));
         }
-        let mut task_counts = Vec::with_capacity(n);
+        let mut task_counts = Vec::new();
         for _ in 0..n {
             let line = next("task count")?;
             let hex = line
@@ -523,7 +406,7 @@ impl SweepCheckpoint {
         if m == 0 {
             return Err(bad("empty design-point list".to_string()));
         }
-        let mut points = Vec::with_capacity(m);
+        let mut points = Vec::new();
         for _ in 0..m {
             let line = next("design point")?;
             // `p <delay> <energy> <embodied> <area> <name…>`; the name is
@@ -554,7 +437,9 @@ impl SweepCheckpoint {
             .strip_prefix("rows ")
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| bad(format!("bad rows line `{rows_line}`")))?;
-        let mut rows: Vec<Option<Vec<f64>>> = vec![None; n];
+        // `n` is backed by `n` parsed count lines by now, so it is safe to
+        // size the slot table from it.
+        let mut rows = Slots::new(n);
         for _ in 0..done {
             let line = next("row")?;
             let mut tokens = line.split_whitespace();
@@ -568,9 +453,6 @@ impl SweepCheckpoint {
             if idx >= n {
                 return Err(bad(format!("row index {idx} out of range (rows: {n})")));
             }
-            if rows[idx].is_some() {
-                return Err(bad(format!("duplicate row index {idx}")));
-            }
             let values = tokens
                 .map(|tok| parse_hex_field(tok, "row"))
                 .collect::<Result<Vec<f64>, CoreError>>()?;
@@ -580,11 +462,14 @@ impl SweepCheckpoint {
                     values.len()
                 )));
             }
-            rows[idx] = Some(values);
+            if rows.fill(idx, values).is_some() {
+                return Err(bad(format!("duplicate row index {idx}")));
+            }
         }
         if next("end")? != "end" {
             return Err(bad("missing end marker".to_string()));
         }
+        rows.set_stop(Some(reason));
         cordoba_obs::record(&Event::CheckpointRestored {
             completed: u64::try_from(done).unwrap_or(u64::MAX),
         });
@@ -593,38 +478,28 @@ impl SweepCheckpoint {
             task_counts,
             ci_use,
             rows,
-            reason,
         })
     }
 }
 
-/// Computes the pending rows of a tCDP matrix under supervision, filling
-/// `rows` by index. Returns the stop reason when interrupted, or the first
-/// (in input order) row error.
-/// How [`advance_rows`] finished.
-enum Advance {
-    /// Clean finish on the sequential streaming path: the complete
-    /// row-major tCDP matrix, never split into per-row vectors.
-    CompleteFlat(Vec<f64>),
-    /// `rows` was updated in place (the chunked path, resumed subsets, or
-    /// an interrupted streaming run); `Some` carries the stop reason.
-    Rows(Option<StopReason>),
-}
-
 /// Sequential fast path for a fresh sweep: streams every row straight into
 /// one flat row-major matrix — no per-row allocation and no completion
-/// merge copy, matching the unsupervised [`OpTimeSweep::new`]
-/// sequential path. Supervision semantics are identical to the chunked
-/// engine at one worker: a stop check before every row, per-row panic
-/// isolation, per-attempt progress accounting, and work continuing past a
-/// failed row so counters and events agree with the chunked path.
+/// merge copy, matching the unsupervised [`OpTimeSweep::new`] sequential
+/// path. Supervision semantics are those of [`Slots::advance`] at one
+/// worker: a stop check before every row, per-row panic isolation,
+/// per-attempt progress accounting, and work continuing past a failed row
+/// so counters and events agree.
+///
+/// Returns the complete matrix, or `None` after filling the streamed prefix
+/// into `rows` and recording the stop when the supervisor stopped the
+/// sweep.
 fn advance_rows_streaming(
-    rows: &mut [Option<Vec<f64>>],
+    rows: &mut Slots<Vec<f64>>,
     points: &[DesignPoint],
     task_counts: &[f64],
     ci_use: CarbonIntensity,
     sup: &Supervisor,
-) -> Result<Advance, CoreError> {
+) -> Result<Option<Vec<f64>>, CoreError> {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     let width = points.len();
     let mut flat: Vec<f64> = Vec::with_capacity(width.saturating_mul(task_counts.len()));
@@ -669,85 +544,22 @@ fn advance_rows_streaming(
         return Err(error);
     }
     if !stopped {
-        return Ok(Advance::CompleteFlat(flat));
+        return Ok(Some(flat));
     }
     // Interrupted: split the streamed prefix into per-row checkpoint slots
     // (every attempted row succeeded, so the prefix is densely packed).
     let reason = sup.record_stop(sup.should_stop().unwrap_or(StopReason::Cancelled));
-    for (k, slot) in rows.iter_mut().take(completed_rows).enumerate() {
-        *slot = Some(flat[k * width..(k + 1) * width].to_vec());
+    for (k, row) in flat.chunks_exact(width).take(completed_rows).enumerate() {
+        rows.fill(k, row.to_vec());
     }
-    Ok(Advance::Rows(Some(reason)))
-}
-
-/// Renders a panic payload into a stable message (mirrors the rendering
-/// in `cordoba_par::supervise` so both paths store identical text).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic payload of unknown type".to_string()
-    }
-}
-
-fn advance_rows(
-    rows: &mut [Option<Vec<f64>>],
-    points: &[DesignPoint],
-    task_counts: &[f64],
-    ci_use: CarbonIntensity,
-    sup: &Supervisor,
-) -> Result<Advance, CoreError> {
-    let pending: Vec<usize> = rows
-        .iter()
-        .enumerate()
-        .filter_map(|(i, r)| r.is_none().then_some(i))
-        .collect();
-    if pending.is_empty() {
-        return Ok(Advance::Rows(None));
-    }
-    let hint = cordoba_par::CostHint::per_item_ns(
-        crate::dse::TCDP_NS_PER_POINT.saturating_mul(points.len() as u64),
-    );
-    if hint.workers(pending.len(), cordoba_par::effective_threads()) == 1
-        && pending.len() == rows.len()
-    {
-        return advance_rows_streaming(rows, points, task_counts, ci_use, sup);
-    }
-    let run = cordoba_par::par_map_supervised_hinted(&pending, hint, sup, |_, &idx| {
-        let ctx = OperationalContext::new(task_counts[idx], ci_use)?;
-        Ok::<Vec<f64>, CarbonError>(points.iter().map(|p| p.tcdp(&ctx).value()).collect())
-    });
-    // `pending` ascends, so the first error seen here is the first in
-    // input order — matching the unsupervised sweep's `try` contract.
-    let mut first_error: Option<CoreError> = None;
-    for (&idx, outcome) in pending.iter().zip(run.outcomes) {
-        match outcome {
-            Outcome::Done(Ok(row)) => rows[idx] = Some(row),
-            Outcome::Done(Err(error)) => {
-                if first_error.is_none() {
-                    first_error = Some(CoreError::Carbon(error));
-                }
-            }
-            Outcome::Panicked(message) => {
-                if first_error.is_none() {
-                    first_error = Some(CoreError::Panicked(message));
-                }
-            }
-            Outcome::Skipped => {}
-        }
-    }
-    if let Some(error) = first_error {
-        return Err(error);
-    }
-    Ok(Advance::Rows(run.stop))
+    rows.set_stop(Some(reason));
+    Ok(None)
 }
 
 /// Evaluates the Fig. 8 tCDP grid under supervision. A completed run
 /// returns [`SupervisedSweep::Complete`] with a sweep bit-identical to
 /// [`OpTimeSweep::new`]; an interrupted run returns a resumable
-/// [`PartialSweep`]. Completed rows are bit-identical at every thread
+/// [`SweepCheckpoint`]. Completed rows are bit-identical at every thread
 /// count.
 ///
 /// # Errors
@@ -776,11 +588,10 @@ pub fn op_time_sweep_supervised(
         }));
     }
     let checkpoint = SweepCheckpoint {
-        rows: vec![None; task_counts.len()],
+        rows: Slots::new(task_counts.len()),
         points,
         task_counts,
         ci_use,
-        reason: StopReason::Cancelled,
     };
     checkpoint.resume(sup)
 }
@@ -808,8 +619,8 @@ mod tests {
             let eval = cordoba_par::with_threads(threads, || {
                 evaluate_space_supervised(&configs, &task, &embodied, &sup)
             });
-            assert!(eval.is_complete());
-            assert!((eval.coverage() - 1.0).abs() < 1e-12);
+            assert!(eval.slots().is_complete());
+            assert!((eval.slots().coverage() - 1.0).abs() < 1e-12);
             let resilient = eval.to_resilient().unwrap();
             assert!(resilient.failures.is_empty());
             assert_eq!(resilient.points, strict);
@@ -827,12 +638,16 @@ mod tests {
             let mut eval = cordoba_par::with_threads(1, || {
                 evaluate_space_supervised(&configs, &task, &embodied, &sup)
             });
-            assert_eq!(eval.stop(), Some(StopReason::Cancelled), "trip {trip}");
-            assert_eq!(eval.attempted(), trip as usize, "trip {trip}");
+            assert_eq!(
+                eval.slots().stop(),
+                Some(StopReason::Cancelled),
+                "trip {trip}"
+            );
+            assert_eq!(eval.slots().completed(), trip as usize, "trip {trip}");
             let fresh = Supervisor::unbounded();
             cordoba_par::with_threads(2, || eval.resume(&configs, &task, &embodied, &fresh))
                 .unwrap();
-            assert!(eval.is_complete());
+            assert!(eval.slots().is_complete());
             assert_eq!(eval.to_resilient().unwrap().points, full);
         }
     }
@@ -881,11 +696,11 @@ mod tests {
             .unwrap()
             .partial()
             .unwrap();
-            assert_eq!(partial.checkpoint.completed_rows(), trip as usize);
+            assert_eq!(partial.slots().completed(), trip as usize);
             assert!(partial.coverage_report().contains("rows complete"));
-            let text = partial.checkpoint.to_text();
+            let text = partial.to_text();
             let restored = SweepCheckpoint::from_text(&text).unwrap();
-            assert_eq!(restored, partial.checkpoint);
+            assert_eq!(restored, partial);
             let resumed =
                 cordoba_par::with_threads(2, || restored.resume(&Supervisor::unbounded()))
                     .unwrap()
@@ -925,7 +740,7 @@ mod tests {
         .unwrap()
         .partial()
         .unwrap();
-        let text = partial.checkpoint.to_text();
+        let text = partial.to_text();
         assert!(SweepCheckpoint::from_text("").is_err());
         assert!(SweepCheckpoint::from_text("garbage\n").is_err());
         // Truncation mid-file.
@@ -936,20 +751,23 @@ mod tests {
         if broken != text {
             assert!(SweepCheckpoint::from_text(&broken).is_err());
         }
-        // Hostile value tokens: only exactly 16 hex digits parse.
-        let ci_line = text.lines().nth(2).unwrap();
-        assert!(ci_line.starts_with("ci_use "));
+        // Hostile tokens: only exactly 16 hex digits parse, and a header
+        // count far beyond the file's lines fails on the first line that is
+        // not an entry instead of pre-sizing an allocation.
         let hostile = [
-            "+3ff000000000000",  // sign prefix
-            "3ff00000000000",    // fewer than 16 digits
-            "03ff0000000000000", // 17 digits
-            "3ff000000000000g",  // non-hex digit
+            ("ci_use", "+3ff000000000000", "bad ci_use value"), // sign prefix
+            ("ci_use", "3ff00000000000", "bad ci_use value"),   // fewer than 16 digits
+            ("ci_use", "03ff0000000000000", "bad ci_use value"), // 17 digits
+            ("ci_use", "3ff000000000000g", "bad ci_use value"), // non-hex digit
+            ("task_counts", "18446744073709551615", "bad count line"),
+            ("points", "100000000000", "bad point line"),
         ];
-        for token in hostile {
-            let broken = text.replacen(ci_line, &format!("ci_use {token}"), 1);
+        for (key, token, expected) in hostile {
+            let line = text.lines().find(|l| l.starts_with(key)).unwrap();
+            let broken = text.replacen(line, &format!("{key} {token}"), 1);
             match SweepCheckpoint::from_text(&broken) {
                 Err(CoreError::Supervision(msg)) => {
-                    assert!(msg.contains("bad ci_use value"), "{token}: {msg}");
+                    assert!(msg.contains(expected), "{token}: {msg}");
                 }
                 other => panic!("{token}: expected a typed supervision error, got {other:?}"),
             }
@@ -967,11 +785,11 @@ mod tests {
         .unwrap()
         .partial()
         .unwrap();
-        assert_eq!(partial.checkpoint.completed_rows(), 0);
-        assert_eq!(partial.checkpoint.total_rows(), counts.len());
-        assert_eq!(partial.checkpoint.points().len(), pts.len());
-        assert_eq!(partial.checkpoint.pending_rows().len(), counts.len());
-        assert!(partial.checkpoint.coverage() < 1e-12);
+        assert_eq!(partial.slots().completed(), 0);
+        assert_eq!(partial.slots().total(), counts.len());
+        assert_eq!(partial.points().len(), pts.len());
+        assert_eq!(partial.slots().pending().len(), counts.len());
+        assert!(partial.slots().coverage() < 1e-12);
     }
 
     #[test]

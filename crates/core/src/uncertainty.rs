@@ -4,11 +4,13 @@
 use crate::error::CoreError;
 use crate::metrics::{DesignPoint, OperationalContext};
 use crate::stats::log_pearson;
+use crate::supervise::first_failure;
 use cordoba_carbon::integral::CiIntegral;
 use cordoba_carbon::intensity::{grids, CiSource};
 use cordoba_carbon::units::{CarbonIntensity, Seconds};
 use cordoba_carbon::CarbonError;
-use cordoba_par::supervise::{Outcome, StopReason, Supervisor};
+use cordoba_par::supervise::{Slots, Supervisor};
+use cordoba_par::CostHint;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -359,10 +361,11 @@ pub struct MonteCarloSummary {
     pub max: f64,
 }
 
-/// Per-block partial moments, combined sequentially in block order so the
-/// final statistics are bit-identical at every thread count.
+/// Per-block partial moments of a Monte Carlo run (opaque), combined
+/// sequentially in block order so the final statistics are bit-identical
+/// at every thread count.
 #[derive(Debug, Clone, PartialEq)]
-struct McPartial {
+pub struct McPartial {
     sum: f64,
     sum_sq: f64,
     min: f64,
@@ -388,7 +391,10 @@ impl McPartial {
 }
 
 /// Folds per-block partials (in block order) into summary statistics.
-fn summarize(partials: Vec<McPartial>, samples: usize) -> MonteCarloSummary {
+fn summarize<'a>(
+    partials: impl IntoIterator<Item = &'a McPartial>,
+    samples: usize,
+) -> MonteCarloSummary {
     let mut sum = 0.0f64;
     let mut sum_sq = 0.0f64;
     let mut min = f64::INFINITY;
@@ -438,7 +444,7 @@ pub fn monte_carlo_tcdp(
     );
     spec.validate()?;
     let partials = cordoba_par::par_map(&spec.blocks(), |&block| tcdp_block(point, spec, block));
-    Ok(summarize(partials, spec.samples))
+    Ok(summarize(&partials, spec.samples))
 }
 
 /// A reproducible Monte Carlo experiment over *time-varying* intensity
@@ -582,7 +588,7 @@ pub fn monte_carlo_source_tcdp(
     let partials = cordoba_par::par_map(&spec.blocks(), |&block| {
         source_block(point, sources, spec, block)
     });
-    Ok(summarize(partials, spec.samples))
+    Ok(summarize(&partials, spec.samples))
 }
 
 /// The sampled executable spec of [`monte_carlo_source_tcdp`]: identical
@@ -626,7 +632,7 @@ pub fn monte_carlo_source_tcdp_sampled(
         }
         partial
     });
-    Ok(summarize(partials, spec.samples))
+    Ok(summarize(&partials, spec.samples))
 }
 
 /// Mean tCDP regret of each design across sampled scenarios:
@@ -695,44 +701,22 @@ fn fold_regret<'a>(
     totals
 }
 
-/// Computes the still-pending RNG blocks of a supervised Monte Carlo run
-/// under `sup`, filling `slots` by block index. Returns the stop reason
-/// when interrupted; a panicking block becomes [`CoreError::Panicked`]
-/// (first panicking block in block order).
-fn advance_blocks<P, F>(
-    slots: &mut [Option<P>],
-    sup: &Supervisor,
-    eval: F,
-) -> Result<Option<StopReason>, CoreError>
-where
-    P: Send,
-    F: Fn(u64) -> P + Sync,
-{
-    let pending: Vec<u64> = slots
-        .iter()
-        .enumerate()
-        .filter_map(|(i, s)| s.is_none().then_some(i as u64))
-        .collect();
-    if pending.is_empty() {
-        return Ok(None);
+/// Estimated cost of one RNG block: [`MC_BLOCK`] scenarios of roughly one
+/// tCDP evaluation each. Steers supervised chunking only (a regret block
+/// scales it by the design count).
+const MC_BLOCK_NS: u64 = MC_BLOCK as u64 * crate::dse::TCDP_NS_PER_POINT;
+
+/// The one resume-shape check of the supervised Monte Carlo types: a
+/// resume must draw the same scenario stream length (`samples`, which also
+/// fixes the block count) over the same number of designs as the run it
+/// continues.
+fn check_resume(started: (usize, usize), got: (usize, usize)) -> Result<(), CoreError> {
+    if got == started {
+        return Ok(());
     }
-    let run = cordoba_par::par_map_supervised(&pending, sup, |_, &block| eval(block));
-    let mut first_panic: Option<String> = None;
-    for (&block, outcome) in pending.iter().zip(run.outcomes) {
-        match outcome {
-            Outcome::Done(partial) => slots[block as usize] = Some(partial),
-            Outcome::Panicked(message) => {
-                if first_panic.is_none() {
-                    first_panic = Some(message);
-                }
-            }
-            Outcome::Skipped => {}
-        }
-    }
-    if let Some(message) = first_panic {
-        return Err(CoreError::Panicked(message));
-    }
-    Ok(run.stop)
+    Err(CoreError::Supervision(format!(
+        "resume shape (designs, samples) {got:?} differs from the run's {started:?}"
+    )))
 }
 
 /// A supervised Monte Carlo experiment in flight: per-RNG-block partial
@@ -746,72 +730,45 @@ where
 #[derive(Debug, Clone, PartialEq)]
 pub struct SupervisedMonteCarlo {
     samples: usize,
-    partials: Vec<Option<McPartial>>,
-    stop: Option<StopReason>,
+    partials: Slots<McPartial>,
 }
 
 impl SupervisedMonteCarlo {
-    fn fresh(samples: usize, blocks: usize) -> Self {
+    fn fresh(samples: usize) -> Self {
         Self {
             samples,
-            partials: vec![None; blocks],
-            stop: None,
+            partials: Slots::new(samples.div_ceil(MC_BLOCK)),
         }
     }
 
-    fn check_spec(&self, samples: usize, blocks: usize) -> Result<(), CoreError> {
-        if samples != self.samples || blocks != self.partials.len() {
-            return Err(CoreError::Supervision(format!(
-                "resume spec has {samples} samples / {blocks} blocks but the run was started \
-                 with {} samples / {} blocks",
-                self.samples,
-                self.partials.len()
-            )));
-        }
-        Ok(())
-    }
-
-    /// Why the last run/resume stopped early, or `None` when complete.
+    /// Per-block progress: slot `b` is filled once RNG block `b` is
+    /// computed.
     #[must_use]
-    pub fn stop(&self) -> Option<StopReason> {
-        self.stop
-    }
-
-    /// `true` when every RNG block has been computed.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.stop.is_none()
-    }
-
-    /// RNG blocks computed so far.
-    #[must_use]
-    pub fn completed_blocks(&self) -> usize {
-        self.partials.iter().filter(|p| p.is_some()).count()
-    }
-
-    /// Total RNG blocks in the experiment.
-    #[must_use]
-    pub fn total_blocks(&self) -> usize {
-        self.partials.len()
-    }
-
-    /// Completed fraction in `[0, 1]`.
-    #[must_use]
-    pub fn coverage(&self) -> f64 {
-        if self.partials.is_empty() {
-            return 1.0;
-        }
-        self.completed_blocks() as f64 / self.partials.len() as f64
+    pub fn slots(&self) -> &Slots<McPartial> {
+        &self.partials
     }
 
     /// The folded summary statistics, or `None` while blocks are pending.
     #[must_use]
     pub fn summary(&self) -> Option<MonteCarloSummary> {
-        if !self.is_complete() {
-            return None;
-        }
-        let partials: Option<Vec<McPartial>> = self.partials.iter().cloned().collect();
-        Some(summarize(partials?, self.samples))
+        Some(summarize(self.partials.values()?, self.samples))
+    }
+
+    /// Computes the pending blocks with `block_fn`; the first failing
+    /// block (a panic) aborts with [`CoreError::Panicked`].
+    fn advance(
+        &mut self,
+        samples: usize,
+        sup: &Supervisor,
+        block_fn: impl Fn(u64) -> McPartial + Sync,
+    ) -> Result<(), CoreError> {
+        check_resume((1, self.samples), (1, samples))?;
+        first_failure(
+            self.partials
+                .advance(CostHint::per_item_ns(MC_BLOCK_NS), sup, |block| {
+                    Ok(block_fn(block as u64))
+                }),
+        )
     }
 
     /// Computes the still-pending blocks of a constant-CI experiment
@@ -828,11 +785,7 @@ impl SupervisedMonteCarlo {
         spec: &MonteCarloSpec,
         sup: &Supervisor,
     ) -> Result<(), CoreError> {
-        self.check_spec(spec.samples, spec.blocks().len())?;
-        self.stop = advance_blocks(&mut self.partials, sup, |block| {
-            tcdp_block(point, spec, block)
-        })?;
-        Ok(())
+        self.advance(spec.samples, sup, |block| tcdp_block(point, spec, block))
     }
 
     /// Computes the still-pending blocks of a time-varying-source
@@ -850,11 +803,9 @@ impl SupervisedMonteCarlo {
         spec: &SourceMonteCarloSpec,
         sup: &Supervisor,
     ) -> Result<(), CoreError> {
-        self.check_spec(spec.samples, spec.blocks().len())?;
-        self.stop = advance_blocks(&mut self.partials, sup, |block| {
+        self.advance(spec.samples, sup, |block| {
             source_block(point, sources, spec, block)
-        })?;
-        Ok(())
+        })
     }
 }
 
@@ -880,7 +831,7 @@ pub fn monte_carlo_tcdp_supervised(
         u64::try_from(spec.samples).unwrap_or(u64::MAX),
     );
     spec.validate()?;
-    let mut mc = SupervisedMonteCarlo::fresh(spec.samples, spec.blocks().len());
+    let mut mc = SupervisedMonteCarlo::fresh(spec.samples);
     mc.resume_tcdp(point, spec, sup)?;
     Ok(mc)
 }
@@ -905,7 +856,7 @@ pub fn monte_carlo_source_tcdp_supervised(
         u64::try_from(spec.samples).unwrap_or(u64::MAX),
     );
     spec.validate(sources.len())?;
-    let mut mc = SupervisedMonteCarlo::fresh(spec.samples, spec.blocks().len());
+    let mut mc = SupervisedMonteCarlo::fresh(spec.samples);
     mc.resume_source(point, sources, spec, sup)?;
     Ok(mc)
 }
@@ -917,43 +868,22 @@ pub fn monte_carlo_source_tcdp_supervised(
 pub struct SupervisedRegret {
     n_points: usize,
     samples: usize,
-    partials: Vec<Option<Vec<f64>>>,
-    stop: Option<StopReason>,
+    partials: Slots<Vec<f64>>,
 }
 
 impl SupervisedRegret {
-    /// Why the last run/resume stopped early, or `None` when complete.
+    /// Per-block progress: slot `b` is filled once RNG block `b` is
+    /// computed.
     #[must_use]
-    pub fn stop(&self) -> Option<StopReason> {
-        self.stop
-    }
-
-    /// `true` when every RNG block has been computed.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.stop.is_none()
-    }
-
-    /// RNG blocks computed so far.
-    #[must_use]
-    pub fn completed_blocks(&self) -> usize {
-        self.partials.iter().filter(|p| p.is_some()).count()
-    }
-
-    /// Total RNG blocks in the experiment.
-    #[must_use]
-    pub fn total_blocks(&self) -> usize {
-        self.partials.len()
+    pub fn slots(&self) -> &Slots<Vec<f64>> {
+        &self.partials
     }
 
     /// The per-design mean regrets, or `None` while blocks are pending.
     #[must_use]
     pub fn regrets(&self) -> Option<Vec<f64>> {
-        if !self.is_complete() {
-            return None;
-        }
-        let partials: Option<Vec<&[f64]>> = self.partials.iter().map(Option::as_deref).collect();
-        Some(fold_regret(self.n_points, self.samples, partials?))
+        let partials = self.partials.values()?.map(Vec::as_slice);
+        Some(fold_regret(self.n_points, self.samples, partials))
     }
 
     /// Computes the still-pending blocks under `sup`.
@@ -969,23 +899,11 @@ impl SupervisedRegret {
         spec: &MonteCarloSpec,
         sup: &Supervisor,
     ) -> Result<(), CoreError> {
-        if points.len() != self.n_points
-            || spec.samples != self.samples
-            || spec.blocks().len() != self.partials.len()
-        {
-            return Err(CoreError::Supervision(format!(
-                "resume got {} points / {} samples but the run was started with {} points / {} \
-                 samples",
-                points.len(),
-                spec.samples,
-                self.n_points,
-                self.samples
-            )));
-        }
-        self.stop = advance_blocks(&mut self.partials, sup, |block| {
-            regret_block(points, spec, block)
-        })?;
-        Ok(())
+        check_resume((self.n_points, self.samples), (points.len(), spec.samples))?;
+        let hint = CostHint::per_item_ns(MC_BLOCK_NS.saturating_mul(points.len() as u64));
+        first_failure(self.partials.advance(hint, sup, |block| {
+            Ok(regret_block(points, spec, block as u64))
+        }))
     }
 }
 
@@ -1016,8 +934,7 @@ pub fn monte_carlo_regret_supervised(
     let mut regret = SupervisedRegret {
         n_points: points.len(),
         samples: spec.samples,
-        partials: vec![None; spec.blocks().len()],
-        stop: None,
+        partials: Slots::new(spec.samples.div_ceil(MC_BLOCK)),
     };
     regret.resume(points, spec, sup)?;
     Ok(regret)
@@ -1028,6 +945,7 @@ mod tests {
     use super::*;
     use cordoba_carbon::intensity::{ConstantCi, TrendCi};
     use cordoba_carbon::units::{GramsCo2e, Joules, SquareCentimeters, JOULES_PER_KILOWATT_HOUR};
+    use cordoba_par::supervise::StopReason;
 
     fn point(name: &str, d: f64, e: f64, emb: f64) -> DesignPoint {
         DesignPoint::new(
@@ -1311,7 +1229,7 @@ mod tests {
                 monte_carlo_tcdp_supervised(&p, &spec, &sup).unwrap(),
             )
         });
-        assert!(mc.is_complete());
+        assert!(mc.slots().is_complete());
         assert_eq!(mc.summary().unwrap(), direct);
     }
 
@@ -1326,12 +1244,16 @@ mod tests {
             let mut mc =
                 cordoba_par::with_threads(1, || monte_carlo_tcdp_supervised(&p, &spec, &sup))
                     .unwrap();
-            assert_eq!(mc.stop(), Some(StopReason::Cancelled), "trip {trip}");
-            assert_eq!(mc.completed_blocks(), trip as usize);
+            assert_eq!(
+                mc.slots().stop(),
+                Some(StopReason::Cancelled),
+                "trip {trip}"
+            );
+            assert_eq!(mc.slots().completed(), trip as usize);
             assert!(mc.summary().is_none());
             cordoba_par::with_threads(2, || mc.resume_tcdp(&p, &spec, &Supervisor::unbounded()))
                 .unwrap();
-            assert!(mc.is_complete());
+            assert!(mc.slots().is_complete());
             assert_eq!(mc.summary().unwrap(), direct, "trip {trip}");
         }
     }
@@ -1349,7 +1271,7 @@ mod tests {
             monte_carlo_source_tcdp_supervised(&p, &sources, &spec, &sup)
         })
         .unwrap();
-        assert!(!mc.is_complete());
+        assert!(!mc.slots().is_complete());
         cordoba_par::with_threads(2, || {
             mc.resume_source(&p, &sources, &spec, &Supervisor::unbounded())
         })
@@ -1366,9 +1288,9 @@ mod tests {
         let mut regret =
             cordoba_par::with_threads(1, || monte_carlo_regret_supervised(&pts, &spec, &sup))
                 .unwrap();
-        assert_eq!(regret.stop(), Some(StopReason::Cancelled));
-        assert_eq!(regret.completed_blocks(), 2);
-        assert_eq!(regret.total_blocks(), 4);
+        assert_eq!(regret.slots().stop(), Some(StopReason::Cancelled));
+        assert_eq!(regret.slots().completed(), 2);
+        assert_eq!(regret.slots().total(), 4);
         assert!(regret.regrets().is_none());
         cordoba_par::with_threads(2, || regret.resume(&pts, &spec, &Supervisor::unbounded()))
             .unwrap();

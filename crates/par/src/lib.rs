@@ -20,9 +20,11 @@
 //!   which preserves the sequential "first error in input order" contract.
 //! * **Supervisable**: [`par_map_supervised`] threads a
 //!   [`supervise::Supervisor`] (cooperative cancellation + deadline budget)
-//!   through the same chunked map and isolates per-item panics instead of
-//!   re-raising them — the substrate for the workspace's checkpoint/resume
-//!   pipelines (see [`supervise`]).
+//!   through the same cost-steered chunked map and isolates per-item
+//!   panics instead of re-raising them. [`Slots`] keeps the resumable
+//!   partial result on top of it — one slot per work unit, advanced over
+//!   the pending slots only — and every checkpoint/resume pipeline in the
+//!   workspace is built on it (see [`supervise`]).
 //!
 //! # Thread-count resolution
 //!
@@ -50,7 +52,7 @@
 pub mod supervise;
 
 pub use supervise::{
-    par_map_supervised, par_map_supervised_hinted, Outcome, StopReason, SupervisedMap, Supervisor,
+    par_map_supervised, Failure, Outcome, Slots, StopReason, SupervisedMap, Supervisor,
 };
 
 use std::cell::Cell;
@@ -63,7 +65,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 pub const MIN_PARALLEL_LEN: usize = 16;
 
 /// Caller-supplied per-item cost estimate steering the `_hinted` map
-/// variants.
+/// variants and [`par_map_supervised`].
 ///
 /// The length-only [`MIN_PARALLEL_LEN`] cutoff cannot tell a 121-item sweep
 /// of microsecond work (where spawning threads *loses* time) from 121 items

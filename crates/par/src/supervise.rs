@@ -14,11 +14,16 @@
 //!   events recorded through `cordoba-obs`.
 //!
 //! [`par_map_supervised`] is the supervised sibling of
-//! [`crate::par_map_indexed`]: same contiguous chunking, same
-//! input-order merge, plus per-item panic isolation
+//! [`crate::par_map_indexed_hinted`]: same cost-steered contiguous
+//! chunking, same input-order merge, plus per-item panic isolation
 //! (`std::panic::catch_unwind`) and cooperative stop checks before every
 //! item. It returns a [`SupervisedMap`] recording, per input index, whether
 //! the item completed, panicked, or was never attempted.
+//!
+//! [`Slots`] is the resumable partial result every supervised pipeline
+//! keeps on top of that map: one slot per work unit, filled by index.
+//! [`Slots::advance`] runs the supervised map over the pending slots only,
+//! so calling it again after a stop computes exactly the remainder.
 //!
 //! # Determinism contract
 //!
@@ -27,10 +32,10 @@
 //! runs unchanged and results are merged in input order. What a stop makes
 //! nondeterministic is only *which subset* of items completed before the
 //! cut (worker interleaving decides that). Every consumer in the workspace
-//! therefore treats the outcome vector as a partial result keyed by input
-//! index: re-running only the `Skipped`/`Panicked` slots and merging by
-//! index reproduces the uninterrupted output bit-for-bit at any thread
-//! count — the invariant the `cordoba-robust` property suite pins.
+//! therefore keeps its partial result in a [`Slots`] table keyed by input
+//! index: re-running only the pending slots and merging by index
+//! reproduces the uninterrupted output bit-for-bit at any thread count —
+//! the invariant the `cordoba-robust` property suite pins.
 //!
 //! [`Supervisor::tripping_after`] stops after a fixed number of completed
 //! units instead of after elapsed time, which is what the fault-injection
@@ -306,8 +311,179 @@ impl<R> SupervisedMap<R> {
     }
 }
 
-/// Renders a panic payload into a stable, storable message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// How one slot of a [`Slots::advance`] failed. The slot stays pending, so
+/// the caller decides whether to quarantine it, retry it, or abort.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Failure<E> {
+    /// The work unit returned an error.
+    Error(E),
+    /// The work unit panicked; the payload message is kept.
+    Panicked(String),
+}
+
+impl<E> Failure<E> {
+    /// The failure as the caller's error type, mapping a panic message
+    /// through `panicked`.
+    pub fn into_error(self, panicked: impl FnOnce(String) -> E) -> E {
+        match self {
+            Self::Error(error) => error,
+            Self::Panicked(message) => panicked(message),
+        }
+    }
+}
+
+/// A resumable partial result: one slot per work unit, each `None` until
+/// the unit completes, plus why the last [`advance`](Self::advance)
+/// stopped early.
+///
+/// Units are pure functions of their index, so filling slots in any
+/// subset and order — across stops, resumes and thread counts — ends at
+/// the same table an uninterrupted run fills.
+///
+/// ```
+/// use cordoba_par::{CostHint, Slots, Supervisor};
+///
+/// let (mut slots, hint) = (Slots::new(4), CostHint::per_item_ns(1));
+/// let unit = |i: usize| Ok::<_, ()>(10 * i);
+/// assert!(slots.advance(hint, &Supervisor::tripping_after(1), unit).is_empty());
+/// assert_eq!((slots.pending(), slots.stop().is_some()), (vec![1, 2, 3], true));
+/// assert!(slots.advance(hint, &Supervisor::unbounded(), unit).is_empty());
+/// assert_eq!(slots.values().unwrap().sum::<usize>(), 60);
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct Slots<P> {
+    slots: Vec<Option<P>>,
+    stop: Option<StopReason>,
+}
+
+impl<P> Slots<P> {
+    /// `len` pending slots and no stop.
+    #[must_use]
+    pub fn new(len: usize) -> Self {
+        Self {
+            slots: std::iter::repeat_with(|| None).take(len).collect(),
+            stop: None,
+        }
+    }
+
+    /// Why the last advance stopped early, or `None` when it attempted
+    /// every pending slot.
+    #[must_use]
+    pub fn stop(&self) -> Option<StopReason> {
+        self.stop
+    }
+
+    /// `true` once every slot is filled.
+    #[must_use]
+    pub fn is_complete(&self) -> bool {
+        self.slots.iter().all(Option::is_some)
+    }
+
+    /// Slots filled so far.
+    #[must_use]
+    pub fn completed(&self) -> usize {
+        self.slots.iter().filter(|s| s.is_some()).count()
+    }
+
+    /// Total slots.
+    #[must_use]
+    pub fn total(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Filled fraction in `[0, 1]` (1.0 for an empty table).
+    #[must_use]
+    pub fn coverage(&self) -> f64 {
+        if self.slots.is_empty() {
+            return 1.0;
+        }
+        self.completed() as f64 / self.slots.len() as f64
+    }
+
+    /// Indices of the pending slots, ascending.
+    #[must_use]
+    pub fn pending(&self) -> Vec<usize> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.is_none().then_some(i))
+            .collect()
+    }
+
+    /// The filled slots with their indices, ascending.
+    pub fn filled(&self) -> impl Iterator<Item = (usize, &P)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.as_ref().map(|v| (i, v)))
+    }
+
+    /// Every value in index order once the table is complete, or `None`
+    /// while a slot is pending.
+    #[must_use]
+    pub fn values(&self) -> Option<impl Iterator<Item = &P>> {
+        self.is_complete().then(|| self.slots.iter().flatten())
+    }
+
+    /// Fills slot `idx` with `value`, returning what it held before.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range.
+    pub fn fill(&mut self, idx: usize, value: P) -> Option<P> {
+        self.slots[idx].replace(value)
+    }
+
+    /// Overrides the stop reason (for restored state, or a caller whose
+    /// own failure policy leaves slots pending).
+    pub fn set_stop(&mut self, stop: Option<StopReason>) {
+        self.stop = stop;
+    }
+
+    /// Runs `f` over the pending indices through [`par_map_supervised`]
+    /// and fills every slot whose unit returned `Ok`. The stop reason
+    /// becomes the map's (`None` when nothing was pending).
+    ///
+    /// Returns the failed indices in ascending order, each with its error
+    /// or panic message; their slots stay pending. Completed values are
+    /// bit-identical at any thread count, so advancing until complete
+    /// lands on the uninterrupted run's table.
+    #[must_use]
+    pub fn advance<E, F>(
+        &mut self,
+        hint: crate::CostHint,
+        sup: &Supervisor,
+        f: F,
+    ) -> Vec<(usize, Failure<E>)>
+    where
+        P: Send,
+        E: Send,
+        F: Fn(usize) -> Result<P, E> + Sync,
+    {
+        let pending = self.pending();
+        if pending.is_empty() {
+            self.stop = None;
+            return Vec::new();
+        }
+        let run = par_map_supervised(&pending, hint, sup, |_, &idx| f(idx));
+        let mut failures = Vec::new();
+        for (&idx, outcome) in pending.iter().zip(run.outcomes) {
+            match outcome {
+                Outcome::Done(Ok(value)) => self.slots[idx] = Some(value),
+                Outcome::Done(Err(error)) => failures.push((idx, Failure::Error(error))),
+                Outcome::Panicked(message) => failures.push((idx, Failure::Panicked(message))),
+                Outcome::Skipped => {}
+            }
+        }
+        self.stop = run.stop;
+        failures
+    }
+}
+
+/// Renders a panic payload into a stable, storable message. Pipelines that
+/// catch panics themselves use it so every quarantined message reads alike.
+#[must_use]
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -350,31 +526,17 @@ where
     out
 }
 
-/// Supervised sibling of [`crate::par_map_indexed`]: cooperative stop
-/// checks before every item, per-item panic isolation, input-order merge,
-/// on [`crate::effective_threads`] workers.
+/// Supervised sibling of [`crate::par_map_indexed_hinted`]: cooperative
+/// stop checks before every item, per-item panic isolation and an
+/// input-order merge, on as many workers as the [`crate::CostHint`] says
+/// the estimated work pays for.
 ///
-/// Chunking and merge order are identical to [`crate::par_map_indexed`],
-/// so for every index whose outcome is [`Outcome::Done`] the value is
+/// Chunking and merge order are identical to the unsupervised map's, so
+/// for every index whose outcome is [`Outcome::Done`] the value is
 /// bit-identical to the unsupervised map's at any thread count. When the
 /// supervisor stops the run, the stop is recorded once as a supervision
 /// event and returned in [`SupervisedMap::stop`].
-pub fn par_map_supervised<T, R, F>(items: &[T], sup: &Supervisor, f: F) -> SupervisedMap<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    run_supervised(items, crate::length_workers(items.len()), sup, f)
-}
-
-/// [`par_map_supervised`] steered by a [`crate::CostHint`] instead of
-/// the length-only cutoff (see [`crate::par_map_indexed_hinted`]): small
-/// estimated workloads run on the calling thread, larger ones use only as
-/// many workers as the estimated work pays for. Chunking and merge order
-/// are otherwise identical, so completed outcomes stay bit-identical to the
-/// unsupervised map's at any thread count.
-pub fn par_map_supervised_hinted<T, R, F>(
+pub fn par_map_supervised<T, R, F>(
     items: &[T],
     hint: crate::CostHint,
     sup: &Supervisor,
@@ -386,17 +548,6 @@ where
     F: Fn(usize, &T) -> R + Sync,
 {
     let workers = hint.workers(items.len(), crate::effective_threads());
-    run_supervised(items, workers, sup, f)
-}
-
-/// Supervised chunked map over exactly `workers` contiguous chunks (1 = the
-/// sequential path); the shared engine behind both supervised entry points.
-fn run_supervised<T, R, F>(items: &[T], workers: usize, sup: &Supervisor, f: F) -> SupervisedMap<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
     let outcomes = if workers <= 1 {
         supervised_chunk(0, items, sup, &f)
     } else {
@@ -453,6 +604,10 @@ mod tests {
     /// test log.
     const QUIET: &str = "[quiet-test-panic]";
 
+    /// A hint heavy enough that every item pays for its own worker, so
+    /// multi-thread runs really split into several chunks.
+    const HEAVY: crate::CostHint = crate::CostHint::per_item_ns(crate::CostHint::TARGET_CHUNK_NS);
+
     fn install_quiet_hook() {
         static ONCE: std::sync::Once = std::sync::Once::new();
         ONCE.call_once(|| {
@@ -480,7 +635,7 @@ mod tests {
         for threads in [1, 2, 5, 64] {
             let sup = Supervisor::unbounded();
             let run = crate::with_threads(threads, || {
-                par_map_supervised(&items, &sup, |_, x| x.wrapping_mul(37) ^ 11)
+                par_map_supervised(&items, HEAVY, &sup, |_, x| x.wrapping_mul(37) ^ 11)
             });
             assert!(run.is_complete(), "threads = {threads}");
             let got: Vec<u64> = run
@@ -501,7 +656,7 @@ mod tests {
         let items: Vec<u32> = (0..100).collect();
         let sup = Supervisor::unbounded();
         sup.cancel();
-        let run = crate::with_threads(4, || par_map_supervised(&items, &sup, |_, x| *x));
+        let run = crate::with_threads(4, || par_map_supervised(&items, HEAVY, &sup, |_, x| *x));
         assert_eq!(run.stop, Some(StopReason::Cancelled));
         assert_eq!(run.skipped_indices().len(), items.len());
     }
@@ -510,7 +665,7 @@ mod tests {
     fn trip_after_stops_at_exact_point_sequentially() {
         let items: Vec<u32> = (0..50).collect();
         let sup = Supervisor::tripping_after(17);
-        let run = crate::with_threads(1, || par_map_supervised(&items, &sup, |_, x| x * 2));
+        let run = crate::with_threads(1, || par_map_supervised(&items, HEAVY, &sup, |_, x| x * 2));
         assert_eq!(run.stop, Some(StopReason::Cancelled));
         let done = run.outcomes.iter().filter(|o| o.done().is_some()).count();
         assert_eq!(done, 17);
@@ -522,7 +677,7 @@ mod tests {
     fn zero_deadline_skips_everything() {
         let items: Vec<u32> = (0..40).collect();
         let sup = Supervisor::with_deadline(Duration::ZERO);
-        let run = crate::with_threads(4, || par_map_supervised(&items, &sup, |_, x| *x));
+        let run = crate::with_threads(4, || par_map_supervised(&items, HEAVY, &sup, |_, x| *x));
         assert_eq!(run.stop, Some(StopReason::DeadlineExceeded));
         assert_eq!(run.skipped_indices().len(), items.len());
         assert_eq!(sup.progress().completed, 0);
@@ -535,7 +690,7 @@ mod tests {
         for threads in [1, 3, 8] {
             let sup = Supervisor::unbounded();
             let run = crate::with_threads(threads, || {
-                par_map_supervised(&items, &sup, |_, x| {
+                par_map_supervised(&items, HEAVY, &sup, |_, x| {
                     assert!(x % 61 != 13, "{QUIET} poisoned item {x}");
                     x * 3
                 })
@@ -563,7 +718,7 @@ mod tests {
             let sup = Supervisor::unbounded();
             let hint = crate::CostHint::per_item_ns(hint_ns);
             let run = crate::with_threads(4, || {
-                par_map_supervised_hinted(&items, hint, &sup, |_, x| x.wrapping_mul(41) ^ 5)
+                par_map_supervised(&items, hint, &sup, |_, x| x.wrapping_mul(41) ^ 5)
             });
             assert!(run.is_complete(), "hint = {hint_ns}");
             let got: Vec<u64> = run
@@ -580,10 +735,101 @@ mod tests {
         // exact unit count.
         let sup = Supervisor::tripping_after(9);
         let run = crate::with_threads(8, || {
-            par_map_supervised_hinted(&items, crate::CostHint::per_item_ns(1), &sup, |_, x| *x)
+            par_map_supervised(&items, crate::CostHint::per_item_ns(1), &sup, |_, x| *x)
         });
         assert_eq!(run.stop, Some(StopReason::Cancelled));
         assert_eq!(run.skipped_indices(), (9..400).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn slots_pending_ascends_and_empty_coverage_is_one() {
+        let empty: Slots<u8> = Slots::new(0);
+        assert!(empty.is_complete());
+        assert_eq!(empty.coverage(), 1.0);
+        let mut slots: Slots<u8> = Slots::new(5);
+        assert_eq!(slots.fill(3, 30), None);
+        assert_eq!(slots.fill(1, 10), None);
+        assert_eq!(slots.fill(1, 11), Some(10));
+        assert_eq!(slots.pending(), vec![0, 2, 4]);
+        assert_eq!((slots.completed(), slots.total()), (2, 5));
+        assert!((slots.coverage() - 0.4).abs() < 1e-12);
+        assert_eq!(slots.filled().collect::<Vec<_>>(), vec![(1, &11), (3, &30)]);
+        assert!(slots.values().is_none());
+    }
+
+    #[test]
+    fn tripped_advance_leaves_skipped_slots_pending_and_stop_latched() {
+        let mut slots: Slots<usize> = Slots::new(50);
+        let sup = Supervisor::tripping_after(17);
+        let failures = crate::with_threads(1, || slots.advance(HEAVY, &sup, Ok::<_, ()>));
+        assert!(failures.is_empty());
+        assert_eq!(slots.stop(), Some(StopReason::Cancelled));
+        assert_eq!(slots.pending(), (17..50).collect::<Vec<_>>());
+        // The tripped supervisor stays latched: advancing under it again
+        // attempts nothing and keeps the stop.
+        let failures = crate::with_threads(4, || slots.advance(HEAVY, &sup, Ok::<_, ()>));
+        assert!(failures.is_empty() && !slots.is_complete());
+        assert_eq!(
+            (slots.stop(), slots.completed()),
+            (Some(StopReason::Cancelled), 17)
+        );
+    }
+
+    #[test]
+    fn advance_returns_errors_and_panics_in_ascending_order() {
+        install_quiet_hook();
+        for threads in [1, 3, 8] {
+            let mut slots: Slots<usize> = Slots::new(200);
+            let sup = Supervisor::unbounded();
+            let failures = crate::with_threads(threads, || {
+                slots.advance(HEAVY, &sup, |i| {
+                    assert!(i % 61 != 13, "{QUIET} poisoned slot {i}");
+                    if i % 50 == 7 {
+                        Err(i)
+                    } else {
+                        Ok(i * 3)
+                    }
+                })
+            });
+            assert_eq!(slots.stop(), None, "threads = {threads}");
+            let indices: Vec<usize> = failures.iter().map(|(i, _)| *i).collect();
+            assert_eq!(indices, vec![7, 13, 57, 74, 107, 135, 157, 196]);
+            assert_eq!(slots.pending(), indices, "threads = {threads}");
+            for (i, failure) in failures {
+                match failure {
+                    Failure::Error(e) => assert_eq!(e, i),
+                    Failure::Panicked(msg) => {
+                        assert!(msg.contains(&format!("poisoned slot {i}")), "{msg}");
+                    }
+                }
+            }
+            assert_eq!(slots.filled().find(|(i, _)| *i == 8), Some((8, &24)));
+        }
+    }
+
+    #[test]
+    fn second_advance_fills_exactly_the_remainder_at_any_thread_count() {
+        use std::sync::atomic::AtomicUsize;
+        let expected: Vec<u64> = (0..300u64).map(|x| x.wrapping_mul(0x9e37) ^ 5).collect();
+        let unit = |i: usize| Ok::<_, ()>(expected[i]);
+        for threads in [1, 2, crate::effective_threads()] {
+            let mut slots: Slots<u64> = Slots::new(expected.len());
+            let trip = Supervisor::tripping_after(100);
+            assert!(crate::with_threads(1, || slots.advance(HEAVY, &trip, unit)).is_empty());
+            assert_eq!(slots.stop(), Some(StopReason::Cancelled));
+            let calls = AtomicUsize::new(0);
+            let failures = crate::with_threads(threads, || {
+                slots.advance(HEAVY, &Supervisor::unbounded(), |i| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    assert!(i >= 100, "slot {i} was already filled");
+                    unit(i)
+                })
+            });
+            assert!(failures.is_empty() && slots.stop().is_none());
+            assert_eq!(calls.load(Ordering::Relaxed), 200, "threads = {threads}");
+            let got: Vec<u64> = slots.values().unwrap().copied().collect();
+            assert_eq!(got, expected, "threads = {threads}");
+        }
     }
 
     #[test]

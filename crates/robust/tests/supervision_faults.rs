@@ -15,6 +15,7 @@ use cordoba_accel::params::TechTuning;
 use cordoba_accel::space::design_space;
 use cordoba_carbon::embodied::EmbodiedModel;
 use cordoba_carbon::prelude::{grids, GramsCo2e, Joules, Seconds, SquareCentimeters};
+use cordoba_par::CostHint;
 use cordoba_robust::prelude::*;
 use cordoba_robust::supervise::{par_map_supervised, Outcome};
 use cordoba_workloads::task::Task;
@@ -98,20 +99,17 @@ fn sweep_interrupted_at_a_thousand_seeded_points_resumes_bit_identically() {
                 sweep
             }
             SupervisedSweep::Partial(partial) => {
-                assert_eq!(partial.reason, StopReason::Cancelled, "seed {seed}");
+                assert_eq!(partial.reason(), StopReason::Cancelled, "seed {seed}");
                 if interrupt_threads == 1 {
                     assert_eq!(
-                        partial.checkpoint.completed_rows() as u64,
+                        partial.slots().completed() as u64,
                         trip,
                         "seed {seed}: sequential trip point should be exact"
                     );
                 }
-                let text = partial.checkpoint.to_text();
+                let text = partial.to_text();
                 let restored = SweepCheckpoint::from_text(&text).expect("checkpoint round-trips");
-                assert_eq!(
-                    restored, partial.checkpoint,
-                    "seed {seed}: lossy checkpoint"
-                );
+                assert_eq!(restored, partial, "seed {seed}: lossy checkpoint");
                 let fresh = Supervisor::unbounded();
                 match seed % 3 {
                     0 => cordoba_par::with_threads(1, || restored.resume(&fresh)),
@@ -152,12 +150,12 @@ fn zero_deadline_interrupts_sweep_and_checkpoint_resumes() {
         .partial()
         .expect("a zero deadline must interrupt the sweep");
         assert_eq!(
-            partial.reason,
+            partial.reason(),
             StopReason::DeadlineExceeded,
             "threads {threads}"
         );
-        assert_eq!(partial.checkpoint.completed_rows(), 0, "threads {threads}");
-        let text = partial.checkpoint.to_text();
+        assert_eq!(partial.slots().completed(), 0, "threads {threads}");
+        let text = partial.to_text();
         assert!(
             text.contains("deadline-exceeded"),
             "checkpoint should serialize the deadline reason"
@@ -199,15 +197,19 @@ fn interrupted_eval_with_poisoned_configs_resumes_and_quarantines_in_order() {
             evaluate_space_supervised(&configs, &task, &embodied, &sup)
         });
         if trip < configs.len() as u64 {
-            assert_eq!(eval.stop(), Some(StopReason::Cancelled), "seed {seed}");
-            assert_eq!(eval.attempted() as u64, trip, "seed {seed}");
+            assert_eq!(
+                eval.slots().stop(),
+                Some(StopReason::Cancelled),
+                "seed {seed}"
+            );
+            assert_eq!(eval.slots().completed() as u64, trip, "seed {seed}");
         }
         let resume_threads = 1 + (seed as usize % 3);
         cordoba_par::with_threads(resume_threads, || {
             eval.resume(&configs, &task, &embodied, &Supervisor::unbounded())
         })
         .expect("resume with the original configs succeeds");
-        assert!(eval.is_complete(), "seed {seed}");
+        assert!(eval.slots().is_complete(), "seed {seed}");
         let resumed = eval.to_resilient().expect("complete eval converts");
         assert_eq!(
             resumed.points, baseline.points,
@@ -236,6 +238,9 @@ fn interrupted_eval_with_poisoned_configs_resumes_and_quarantines_in_order() {
 fn seeded_panic_faults_are_quarantined_in_input_order_at_any_thread_count() {
     install_quiet_hook();
     let items: Vec<u64> = (0..120).collect();
+    // Heavy enough that every item pays for a worker, so the 2-thread and
+    // auto runs really split into several chunks.
+    let heavy = CostHint::per_item_ns(CostHint::TARGET_CHUNK_NS);
     for seed in 0..200u64 {
         let plan = FaultPlan::new(seed);
         let modulus = 5 + plan.trip_point(20); // panic stride in [5, 25]
@@ -243,7 +248,7 @@ fn seeded_panic_faults_are_quarantined_in_input_order_at_any_thread_count() {
         let classify = |threads: usize| -> Vec<Option<u64>> {
             let sup = Supervisor::unbounded();
             let run = cordoba_par::with_threads(threads, || {
-                par_map_supervised(&items, &sup, |_, &x| {
+                par_map_supervised(&items, heavy, &sup, |_, &x| {
                     assert!(x % modulus != phase, "{QUIET} poisoned item {x}");
                     x.wrapping_mul(31) ^ seed
                 })

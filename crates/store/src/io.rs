@@ -176,8 +176,10 @@ impl Store {
         if StoreKey::from_hex(lines.next()?.strip_prefix("key ")?)? != key {
             return None;
         }
+        // The header count is untrusted: every line takes at least one
+        // byte, so the file length caps the reservation.
         let count: usize = lines.next()?.strip_prefix("lines ")?.parse().ok()?;
-        let mut payload = Vec::with_capacity(count);
+        let mut payload = Vec::with_capacity(count.min(text.len()));
         for _ in 0..count {
             payload.push(lines.next()?.to_string());
         }
@@ -342,6 +344,11 @@ mod tests {
         }
         // Arbitrary garbage is a miss too.
         fs::write(&path, "not an entry\u{0}\u{ff}").expect("garbage");
+        assert_eq!(store.get("sweep", key), None);
+        // A hostile `lines` count is a miss, not an allocation failure.
+        let hostile = full.replacen("lines 2\n", "lines 18446744073709551615\n", 1);
+        assert_ne!(hostile, full);
+        fs::write(&path, hostile).expect("hostile count");
         assert_eq!(store.get("sweep", key), None);
         // Trailing junk after `end` invalidates the entry.
         fs::write(&path, format!("{full}trailing\n")).expect("suffix");

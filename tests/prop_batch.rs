@@ -265,13 +265,13 @@ fn supervised_interrupt_and_resume_match_an_uninterrupted_run() {
         let mut eval = cordoba_par::with_threads(threads, || {
             evaluate_space_supervised(&configs, &task, &model, &sup)
         });
-        if !eval.is_complete() {
+        if !eval.slots().is_complete() {
             cordoba_par::with_threads(threads, || {
                 eval.resume(&configs, &task, &model, &Supervisor::unbounded())
             })
             .unwrap();
         }
-        assert!(eval.is_complete(), "seed {seed}");
+        assert!(eval.slots().is_complete(), "seed {seed}");
         let merged = eval.to_resilient().unwrap();
         assert_eq!(direct.points, merged.points, "seed {seed}");
         let render = |r: &ResilientEval| -> Vec<String> {
