@@ -1,14 +1,23 @@
-//! Embodied-carbon memoization for multi-task sweeps.
+//! Embodied-carbon memoization, in memory and in a persistent store.
 //!
-//! [`AcceleratorConfig::embodied_carbon`] is task-independent: the yield,
-//! wafer, and packaging math depends only on the die geometry and the
-//! [`EmbodiedModel`], never on the workload. Multi-task design-space sweeps
-//! nevertheless recompute it once per (config, task) pair, so a 121-config x
-//! 29-task `OpTimeSweep` grid runs the same assembly accounting 29x per
-//! design point. [`EmbodiedCache`] memoizes the result per configuration
-//! *for one model*: each cache instance is bound to the [`EmbodiedModel`] it
-//! was constructed with, which makes invalidation trivial — a different
-//! model means a different cache, never a stale entry.
+//! [`AcceleratorConfig::embodied_carbon`] is task-independent: the yield
+//! and packaging math depends only on the die geometry and the
+//! [`EmbodiedModel`], never on the workload. [`EmbodiedCache`] memoizes the
+//! result per configuration *for one model*: each cache instance is bound
+//! to the [`EmbodiedModel`] it was constructed with, which makes
+//! invalidation trivial — a different model means a different cache, never
+//! a stale entry. Its persistent tier ([`EmbodiedCache::with_store`]) lets
+//! a later process start warm.
+//!
+//! The design-space sweeps (`evaluate_space`, `evaluate_space_multi` and
+//! their supervised forms) do **not** use this cache: they call
+//! `embodied_carbon` directly, once per configuration. That call prices the
+//! die stack without allocating, and recomputing is cheaper than looking
+//! up. Measured single-threaded on a 2-vCPU x86-64 host over 4,096 unique
+//! shapes (best of 40 passes): `embodied_carbon` takes ~65–69 ns per shape,
+//! an uncontended in-memory hit ~78–81 ns, and a miss (fingerprint, lock,
+//! compute, insert) ~190–230 ns. Concurrent sweep workers would also
+//! contend on the `Mutex`.
 //!
 //! The cache key is a structural fingerprint of everything
 //! `embodied_carbon` reads from the configuration (MAC units, SRAM

@@ -2,7 +2,7 @@
 //! integration style (Fig. 5 hardware template).
 
 use crate::params::{TechTuning, MACS_PER_UNIT};
-use cordoba_carbon::embodied::{Assembly, Die, EmbodiedModel};
+use cordoba_carbon::embodied::{compound_bond_yield, Assembly, Die, EmbodiedModel};
 use cordoba_carbon::fab::ProcessNode;
 use cordoba_carbon::integral::{operational_carbon_exact, CiIntegral};
 use cordoba_carbon::lifetime::UsageProfile;
@@ -63,6 +63,8 @@ impl AcceleratorConfig {
     pub const TSV_AREA_OVERHEAD: f64 = 0.03;
     /// Yield of each 3D bonding interface.
     pub const BOND_YIELD: f64 = 0.99;
+    /// Direct carbon of bonding one 3D stack.
+    const BONDING_CARBON: GramsCo2e = GramsCo2e::new(5.0);
 
     /// Creates a conventional 2D configuration at 7 nm.
     ///
@@ -277,7 +279,7 @@ impl AcceleratorConfig {
                     stack,
                     Self::TSV_AREA_OVERHEAD,
                     Self::BOND_YIELD,
-                    GramsCo2e::new(5.0),
+                    Self::BONDING_CARBON,
                 )
             }
         }
@@ -285,12 +287,39 @@ impl AcceleratorConfig {
 
     /// Embodied carbon of manufacturing this accelerator.
     ///
+    /// Prices the dice of [`assembly`](Self::assembly) through
+    /// [`EmbodiedModel::stack_carbon`] without building them: the result
+    /// and any error are exactly those of
+    /// `model.assembly_carbon(&self.assembly()?)`.
+    ///
     /// # Errors
     ///
     /// Propagates assembly-construction errors (cannot occur for validated
     /// configurations).
     pub fn embodied_carbon(&self, model: &EmbodiedModel) -> Result<GramsCo2e, CarbonError> {
-        Ok(model.assembly_carbon(&self.assembly()?))
+        let node = self.tuning.node;
+        let logic = self.logic_die_area();
+        // The same "die area" checks, in the same order, as `Die::new`
+        // applies while `assembly` builds the stack.
+        CarbonError::require_positive("die area", logic.value())?;
+        Ok(match self.integration {
+            MemoryIntegration::OnDie => {
+                model.stack_carbon([(logic, node)], 0.0, 1.0, GramsCo2e::ZERO)
+            }
+            MemoryIntegration::Stacked3d { dies } => {
+                let memory = self.memory_die_area();
+                if dies > 0 {
+                    CarbonError::require_positive("die area", memory.value())?;
+                }
+                let memory_dice = std::iter::repeat_n((memory, node), dies as usize);
+                model.stack_carbon(
+                    std::iter::once((logic, node)).chain(memory_dice),
+                    Self::TSV_AREA_OVERHEAD,
+                    compound_bond_yield(Self::BOND_YIELD, dies as usize),
+                    Self::BONDING_CARBON,
+                )
+            }
+        })
     }
 
     /// The `CI_fab`-separable breakdown of this accelerator's embodied

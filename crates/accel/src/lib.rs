@@ -6,7 +6,8 @@
 //! \[54\].
 //!
 //! * [`cache`] — embodied-carbon memoization keyed by configuration shape,
-//!   so multi-task sweeps run the yield/wafer math once per design point;
+//!   with an optional persistent tier (the sweeps price embodied carbon
+//!   directly: recomputing is cheaper than a lookup);
 //! * [`params`] — per-node technology tuning (MAC/SRAM/DRAM energies, area,
 //!   leakage, LPDDR4 bandwidth);
 //! * [`config`] — accelerator design points: MAC units x SRAM, 2D or

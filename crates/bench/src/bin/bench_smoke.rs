@@ -622,7 +622,7 @@ fn main() {
         }),
     ));
 
-    // With the registry live, re-run the cache-sharing sweep and a β-solve
+    // With the registry live, re-run the multi-task sweep and a β-solve
     // so the recorded file carries the counters those paths emit.
     cordoba_obs::set_metrics_enabled(true);
     let multi = evaluate_space_multi(&configs, std::slice::from_ref(&task), &model).unwrap();

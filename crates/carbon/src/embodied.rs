@@ -7,7 +7,7 @@
 //! TSV area overhead, and a packaging adder.
 
 use crate::error::CarbonError;
-use crate::fab::ProcessNode;
+use crate::fab::{FabProfile, ProcessNode};
 use crate::intensity::grids;
 use crate::units::{CarbonIntensity, GramsCo2e, KilowattHours, SquareCentimeters};
 use crate::yield_model::YieldModel;
@@ -151,15 +151,27 @@ impl EmbodiedModel {
     /// packaging: `(CI_fab * EPA + MPA + GPA) * A / Y`.
     #[must_use]
     pub fn die_carbon(&self, die: &Die) -> GramsCo2e {
-        let profile = die.node.profile();
-        let per_area_fab: GramsCo2e = self.ci_fab * (profile.epa * SquareCentimeters::new(1.0));
-        let per_area = per_area_fab
-            + profile.mpa * SquareCentimeters::new(1.0)
-            + profile.gpa * SquareCentimeters::new(1.0);
+        self.area_carbon(die.area, die.node)
+    }
+
+    /// Eq. IV.5 for one die of `area` on `node`: the one place the
+    /// per-die formula lives.
+    fn area_carbon(&self, area: SquareCentimeters, node: ProcessNode) -> GramsCo2e {
+        let profile = node.profile();
+        let per_area = self.per_area_carbon(&profile);
         let effective = self
             .yield_model
-            .effective_area(die.area, profile.defect_density);
+            .effective_area(area, profile.defect_density);
         per_area * effective.value()
+    }
+
+    /// Carbon of fabricating one square centimeter under `profile`, before
+    /// yield: `CI_fab * EPA + MPA + GPA`.
+    fn per_area_carbon(&self, profile: &FabProfile) -> GramsCo2e {
+        let per_area_fab: GramsCo2e = self.ci_fab * (profile.epa * SquareCentimeters::new(1.0));
+        per_area_fab
+            + profile.mpa * SquareCentimeters::new(1.0)
+            + profile.gpa * SquareCentimeters::new(1.0)
     }
 
     /// Embodied carbon of a packaged single-die part.
@@ -173,10 +185,14 @@ impl EmbodiedModel {
     /// Invariant: `die_breakdown(d).total(ci_fab()) == die_carbon(d)`.
     #[must_use]
     pub fn die_breakdown(&self, die: &Die) -> EmbodiedBreakdown {
-        let profile = die.node.profile();
+        self.area_breakdown(die.area, die.node)
+    }
+
+    fn area_breakdown(&self, area: SquareCentimeters, node: ProcessNode) -> EmbodiedBreakdown {
+        let profile = node.profile();
         let effective = self
             .yield_model
-            .effective_area(die.area, profile.defect_density);
+            .effective_area(area, profile.defect_density);
         EmbodiedBreakdown {
             fab_energy: profile.epa * effective,
             materials: (profile.mpa + profile.gpa)
@@ -191,9 +207,8 @@ impl EmbodiedModel {
     pub fn assembly_breakdown(&self, assembly: &Assembly) -> EmbodiedBreakdown {
         let mut total = EmbodiedBreakdown::default();
         for d in &assembly.dice {
-            let mut inflated = d.clone();
-            inflated.area = d.area * (1.0 + assembly.tsv_area_overhead);
-            total = total + self.die_breakdown(&inflated);
+            let inflated = d.area * (1.0 + assembly.tsv_area_overhead);
+            total = total + self.area_breakdown(inflated, d.node);
         }
         let bond_yield = assembly.compound_bond_yield();
         EmbodiedBreakdown {
@@ -222,11 +237,7 @@ impl EmbodiedModel {
         wafer: &crate::wafer::Wafer,
     ) -> Result<GramsCo2e, CarbonError> {
         let profile = die.node.profile();
-        let per_area_fab: GramsCo2e = self.ci_fab * (profile.epa * SquareCentimeters::new(1.0));
-        let per_area = per_area_fab
-            + profile.mpa * SquareCentimeters::new(1.0)
-            + profile.gpa * SquareCentimeters::new(1.0);
-        let wafer_carbon = per_area * wafer.usable_area().value();
+        let wafer_carbon = self.per_area_carbon(&profile) * wafer.usable_area().value();
         let gross = wafer.gross_dies(die.area)?;
         let good = gross * self.yield_model.fraction(die.area, profile.defect_density);
         Ok(wafer_carbon / good)
@@ -239,17 +250,37 @@ impl EmbodiedModel {
     /// and pays one packaging adder plus `assembly.bonding_carbon`.
     #[must_use]
     pub fn assembly_carbon(&self, assembly: &Assembly) -> GramsCo2e {
-        let dice: GramsCo2e = assembly
-            .dice
-            .iter()
-            .map(|d| {
-                let mut inflated = d.clone();
-                inflated.area = d.area * (1.0 + assembly.tsv_area_overhead);
-                self.die_carbon(&inflated)
-            })
+        self.stack_carbon(
+            assembly.dice.iter().map(|d| (d.area, d.node)),
+            assembly.tsv_area_overhead,
+            assembly.compound_bond_yield(),
+            assembly.bonding_carbon,
+        )
+    }
+
+    /// Embodied carbon of a die stack given as `(area, node)` pairs, bottom
+    /// to top — the allocation-free form of
+    /// [`assembly_carbon`](Self::assembly_carbon), for callers that know
+    /// their dice without building an [`Assembly`].
+    ///
+    /// Each area is inflated by `tsv_area_overhead` and priced by eq. IV.5;
+    /// the sum is divided by `compound_bond_yield` (see
+    /// [`compound_bond_yield`]) and pays one packaging adder plus
+    /// `bonding_carbon`. Areas are not validated here: [`Die::new`] is
+    /// where a non-positive area becomes an error.
+    #[must_use]
+    pub fn stack_carbon(
+        &self,
+        dice: impl IntoIterator<Item = (SquareCentimeters, ProcessNode)>,
+        tsv_area_overhead: f64,
+        compound_bond_yield: f64,
+        bonding_carbon: GramsCo2e,
+    ) -> GramsCo2e {
+        let dice: GramsCo2e = dice
+            .into_iter()
+            .map(|(area, node)| self.area_carbon(area * (1.0 + tsv_area_overhead), node))
             .sum();
-        let bond_yield = assembly.compound_bond_yield();
-        dice / bond_yield + self.packaging_per_die + assembly.bonding_carbon
+        dice / compound_bond_yield + self.packaging_per_die + bonding_carbon
     }
 }
 
@@ -321,8 +352,7 @@ impl Assembly {
     /// Compound yield across all bonding steps.
     #[must_use]
     pub fn compound_bond_yield(&self) -> f64 {
-        let n = i32::try_from(self.interfaces()).unwrap_or(i32::MAX);
-        self.bond_yield_per_interface.powi(n)
+        compound_bond_yield(self.bond_yield_per_interface, self.interfaces())
     }
 
     /// Total silicon area including TSV overhead.
@@ -342,6 +372,13 @@ impl Assembly {
             .map(|d| d.area * (1.0 + self.tsv_area_overhead))
             .fold(SquareCentimeters::ZERO, SquareCentimeters::max)
     }
+}
+
+/// Yield of a stack with `interfaces` bonding steps of
+/// `per_interface` yield each: a failed bond discards the whole stack.
+#[must_use]
+pub fn compound_bond_yield(per_interface: f64, interfaces: usize) -> f64 {
+    per_interface.powi(i32::try_from(interfaces).unwrap_or(i32::MAX))
 }
 
 #[cfg(test)]

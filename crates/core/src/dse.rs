@@ -10,7 +10,6 @@
 
 use crate::error::CoreError;
 use crate::metrics::{DesignPoint, OperationalContext};
-use cordoba_accel::cache::EmbodiedCache;
 use cordoba_accel::config::AcceleratorConfig;
 use cordoba_accel::sim::{full_cost_table, ConfigBatch, KernelSlab, TaskPlan};
 use cordoba_carbon::embodied::EmbodiedModel;
@@ -30,7 +29,7 @@ static EVALUATE_SPACE_NS: Histogram = Histogram::new("core/evaluate_space_ns");
 static OP_TIME_SWEEP_NS: Histogram = Histogram::new("core/op_time_sweep_ns");
 
 /// Estimated cost of characterizing one configuration through the batch
-/// pipeline (roofline + task equations + memoized embodied carbon). Feeds
+/// pipeline (roofline + task equations + embodied carbon). Feeds
 /// the [`CostHint`] chunk sizing: the seed 121-config space stays on the
 /// calling thread while thousand-config spaces fan out.
 pub(crate) const EVAL_NS_PER_CONFIG: u64 = 1_200;
@@ -39,9 +38,11 @@ pub(crate) const EVAL_NS_PER_CONFIG: u64 = 1_200;
 pub(crate) const TCDP_NS_PER_POINT: u64 = 40;
 
 /// The batch-evaluation state shared by every configuration of one
-/// `evaluate_space` call: the SoA simulator inputs, the task resolved to
-/// slab indices, and the embodied-carbon memo — everything the per-config
-/// scalar path re-derived on every call, hoisted out of the hot loop.
+/// `evaluate_space` call: the SoA simulator inputs and the task resolved
+/// to slab indices — everything the per-config scalar path re-derived on
+/// every call, hoisted out of the hot loop. Embodied carbon is priced per
+/// configuration; it allocates nothing, and recomputing it is cheaper than
+/// a memo lookup.
 ///
 /// [`EvalBatch::design_point`] produces results bit-identical to
 /// [`accel_design_point`], including the error for an invalid
@@ -51,14 +52,14 @@ pub(crate) struct EvalBatch<'a> {
     batch: ConfigBatch,
     slab: KernelSlab,
     plan: TaskPlan,
-    cache: EmbodiedCache,
+    embodied: &'a EmbodiedModel,
 }
 
 impl<'a> EvalBatch<'a> {
     pub(crate) fn new(
         configs: &'a [AcceleratorConfig],
         task: &Task,
-        embodied: &EmbodiedModel,
+        embodied: &'a EmbodiedModel,
     ) -> Self {
         // The slab covers only the task's kernel union (not all fifteen):
         // per-kernel simulations are independent, so skipping unused
@@ -70,7 +71,7 @@ impl<'a> EvalBatch<'a> {
             batch: ConfigBatch::new(configs),
             slab,
             plan,
-            cache: EmbodiedCache::new(embodied.clone()),
+            embodied,
         }
     }
 
@@ -82,7 +83,7 @@ impl<'a> EvalBatch<'a> {
             config.name(),
             delay,
             energy,
-            self.cache.embodied(config)?,
+            config.embodied_carbon(self.embodied)?,
             config.total_area(),
         )?)
     }
@@ -144,14 +145,13 @@ pub fn evaluate_space(
 }
 
 /// Characterizes a configuration list for *several* tasks at once, sharing
-/// the cost table and memoized embodied carbon of each configuration across
-/// all tasks.
+/// the cost table and embodied carbon of each configuration across all
+/// tasks.
 ///
 /// The per-task result `out[t]` equals `evaluate_space(configs, &tasks[t],
-/// embodied)` exactly, but each configuration's roofline table is built
-/// once (instead of once per task) and the yield/wafer math behind
-/// [`AcceleratorConfig::embodied_carbon`] runs once per distinct
-/// configuration shape via [`EmbodiedCache`].
+/// embodied)` exactly, but each configuration's kernels are simulated once
+/// (instead of once per task) and
+/// [`AcceleratorConfig::embodied_carbon`] runs once per configuration.
 ///
 /// # Errors
 ///
@@ -168,7 +168,6 @@ pub fn evaluate_space_multi(
         "tasks",
         u64::try_from(tasks.len()).unwrap_or(u64::MAX),
     );
-    let cache = EmbodiedCache::new(embodied.clone());
     // One slab over the union of every task's kernels; each task resolves
     // to slab indices once, so the per-config loop simulates each kernel
     // exactly once and does no map lookups.
@@ -183,7 +182,7 @@ pub fn evaluate_space_multi(
     let per_config: Vec<Vec<DesignPoint>> =
         cordoba_par::try_par_map_indexed_hinted(configs, hint, |idx, c| {
             let costs = batch.slab_costs(idx, &slab);
-            let embodied_carbon = cache.embodied(c)?;
+            let embodied_carbon = c.embodied_carbon(embodied)?;
             plans
                 .iter()
                 .map(|plan| {

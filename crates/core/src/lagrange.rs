@@ -8,7 +8,7 @@
 //! and can be eliminated.
 
 use crate::metrics::DesignPoint;
-use crate::pareto::{lower_hull_indices, pareto_indices, pareto_indices_kd, Point2, PointK};
+use crate::pareto::{lower_hull_of_front, pareto_indices, pareto_indices_kd, Point2, PointK};
 use cordoba_carbon::embodied::EmbodiedBreakdown;
 use cordoba_carbon::units::CarbonIntensity;
 use cordoba_carbon::CarbonError;
@@ -48,7 +48,7 @@ impl BetaSweep {
     pub fn run(candidates: &[DesignPoint]) -> Self {
         let points: Vec<Point2> = candidates.iter().map(objectives).collect();
         let pareto = pareto_indices(&points);
-        let support = lower_hull_indices(&points);
+        let support = lower_hull_of_front(&points, pareto.clone());
         Self {
             points,
             pareto,
@@ -70,10 +70,7 @@ impl BetaSweep {
     /// guaranteed not tCDP-optimal for any `CI_use(t)`.
     #[must_use]
     pub fn eliminated_names(&self) -> Vec<&str> {
-        (0..self.points.len())
-            .filter(|i| !self.pareto.contains(i))
-            .map(|i| self.points[i].name.as_str())
-            .collect()
+        names_outside(self.points.iter().map(|p| p.name.as_str()), &self.pareto)
     }
 
     /// Fraction of the candidate set eliminated.
@@ -383,10 +380,7 @@ impl TwoFactorSweep {
     /// Names of designs eliminated for every `(CI_fab, CI_use)` pair.
     #[must_use]
     pub fn eliminated_names(&self) -> Vec<&str> {
-        (0..self.points.len())
-            .filter(|i| !self.pareto.contains(i))
-            .map(|i| self.points[i].name.as_str())
-            .collect()
+        names_outside(self.points.iter().map(|p| p.name.as_str()), &self.pareto)
     }
 
     /// Fraction of the candidate set eliminated.
@@ -412,6 +406,27 @@ impl TwoFactorSweep {
             eval(a).total_cmp(&eval(b))
         })
     }
+}
+
+/// The names, in input order, of the points whose index is not in `kept`.
+///
+/// `kept` may be in any order and may hold out-of-range indices (ignored);
+/// a membership mask keeps this linear where a `contains` scan per index
+/// was quadratic on fronts that keep most points.
+fn names_outside<'a>(
+    names: impl ExactSizeIterator<Item = &'a str>,
+    kept: &[usize],
+) -> Vec<&'a str> {
+    let mut is_kept = vec![false; names.len()];
+    for &i in kept {
+        if let Some(slot) = is_kept.get_mut(i) {
+            *slot = true;
+        }
+    }
+    names
+        .zip(is_kept)
+        .filter_map(|(name, kept)| (!kept).then_some(name))
+        .collect()
 }
 
 /// The concrete β that a constant `CI_use` and operational task count
@@ -688,6 +703,72 @@ mod tests {
         // beta huge: minimize E*D -> "eco".
         let idx = sweep.optimal_for(CarbonIntensity::new(0.0), 1e12).unwrap();
         assert_eq!(sweep.points[idx].name, "eco");
+    }
+
+    /// The quadratic filter `eliminated_names` used to run, kept as the
+    /// reference the linear version is pinned against.
+    fn eliminated_by_scan<'a>(names: &[&'a str], pareto: &[usize]) -> Vec<&'a str> {
+        (0..names.len())
+            .filter(|i| !pareto.contains(i))
+            .map(|i| names[i])
+            .collect()
+    }
+
+    #[test]
+    fn eliminated_names_match_the_scan_on_seeded_inputs() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..40_u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(0..200);
+            // Odd seeds draw a staircase (every design on the front), even
+            // seeds a random cloud with repeated coordinates.
+            let cands: Vec<(DesignPoint, EmbodiedBreakdown)> = (0..n)
+                .map(|i| {
+                    let (d, e, emb) = if seed % 2 == 1 {
+                        (1.0, 1.0 + i as f64, 1.0e4 / (1.0 + i as f64))
+                    } else {
+                        let q = |rng: &mut StdRng| f64::from(rng.gen_range(1_u32..8));
+                        (q(&mut rng), q(&mut rng), 10.0 * q(&mut rng))
+                    };
+                    let split = EmbodiedBreakdown {
+                        fab_energy: cordoba_carbon::units::KilowattHours::new(emb / 800.0),
+                        materials: GramsCo2e::new(emb / 2.0),
+                    };
+                    (point(&format!("d{i}"), d, e, emb), split)
+                })
+                .collect();
+            let designs: Vec<DesignPoint> = cands.iter().map(|(p, _)| p.clone()).collect();
+
+            let beta = BetaSweep::run(&designs);
+            let names: Vec<&str> = beta.points.iter().map(|p| p.name.as_str()).collect();
+            assert_eq!(
+                beta.eliminated_names(),
+                eliminated_by_scan(&names, &beta.pareto)
+            );
+            assert_eq!(
+                beta.support,
+                crate::pareto::lower_hull_indices(&beta.points)
+            );
+
+            let two = TwoFactorSweep::run(&cands);
+            let names: Vec<&str> = two.points.iter().map(|p| p.name.as_str()).collect();
+            assert_eq!(
+                two.eliminated_names(),
+                eliminated_by_scan(&names, &two.pareto)
+            );
+        }
+
+        // The fields are public: an unsorted, duplicated or out-of-range
+        // `pareto` still filters exactly as the scan did.
+        let mut sweep = BetaSweep::run(&candidates());
+        sweep.pareto = vec![2, 0, 2, 99];
+        let names: Vec<&str> = sweep.points.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(
+            sweep.eliminated_names(),
+            eliminated_by_scan(&names, &sweep.pareto)
+        );
+        assert_eq!(sweep.eliminated_names(), vec!["balanced", "dominated"]);
     }
 
     #[test]

@@ -153,11 +153,13 @@ pub fn pareto_front(points: &[Point2]) -> Vec<Point2> {
 /// optimal in eq. IV.9; they are a subset of [`pareto_indices`].
 #[must_use]
 pub fn lower_hull_indices(points: &[Point2]) -> Vec<usize> {
-    if points.is_empty() {
-        return Vec::new();
-    }
-    // Start from the Pareto front sorted by x ascending (y then descends).
-    let mut front = pareto_indices(points);
+    lower_hull_of_front(points, pareto_indices(points))
+}
+
+/// [`lower_hull_indices`] for a caller that already holds
+/// `front = pareto_indices(points)`, so the front is not recomputed.
+pub(crate) fn lower_hull_of_front(points: &[Point2], mut front: Vec<usize>) -> Vec<usize> {
+    // Sort the Pareto front by x ascending (y then descends).
     front.sort_by(|&a, &b| {
         points[a]
             .x

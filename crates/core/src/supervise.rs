@@ -106,9 +106,9 @@ impl SupervisedEval {
                 self.slots.total()
             )));
         }
-        // The batch state (SoA tuning arrays, task plan, embodied memo) is
-        // built once per resume; the supervised map still isolates panics
-        // and checks the stop flag per configuration.
+        // The batch state (SoA tuning arrays, task plan) is built once per
+        // resume; the supervised map still isolates panics and checks the
+        // stop flag per configuration.
         let batch = EvalBatch::new(configs, task, embodied);
         let failures = self.slots.advance(
             CostHint::per_item_ns(crate::dse::EVAL_NS_PER_CONFIG),

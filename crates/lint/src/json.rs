@@ -11,6 +11,11 @@ use std::collections::BTreeMap;
 
 use crate::diagnostics::Diagnostic;
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so a hostile document of nested brackets must be
+/// rejected as malformed before it exhausts the stack.
+const MAX_DEPTH: usize = 64;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -72,11 +77,12 @@ pub fn escape(s: &str) -> String {
 ///
 /// # Errors
 ///
-/// Returns a human-readable message on malformed input.
+/// Returns a human-readable message on malformed input, including
+/// nesting deeper than 64 levels.
 pub fn parse(text: &str) -> Result<Value, String> {
     let chars: Vec<char> = text.chars().collect();
     let mut pos = 0usize;
-    let value = parse_value(&chars, &mut pos)?;
+    let value = parse_value(&chars, &mut pos, 0)?;
     skip_ws(&chars, &mut pos);
     if pos != chars.len() {
         return Err(format!("trailing content at offset {pos}"));
@@ -99,11 +105,15 @@ fn expect(c: &[char], pos: &mut usize, ch: char) -> Result<(), String> {
     }
 }
 
-fn parse_value(c: &[char], pos: &mut usize) -> Result<Value, String> {
+fn parse_value(c: &[char], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(c, pos);
     match c.get(*pos) {
-        Some('{') => parse_obj(c, pos),
-        Some('[') => parse_arr(c, pos),
+        Some('{' | '[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at offset {pos}",
+            pos = *pos
+        )),
+        Some('{') => parse_obj(c, pos, depth + 1),
+        Some('[') => parse_arr(c, pos, depth + 1),
         Some('"') => parse_str(c, pos).map(Value::Str),
         Some('t') if c[*pos..].starts_with(&['t', 'r', 'u', 'e']) => {
             *pos += 4;
@@ -179,7 +189,7 @@ fn parse_str(c: &[char], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_arr(c: &[char], pos: &mut usize) -> Result<Value, String> {
+fn parse_arr(c: &[char], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(c, pos, '[')?;
     let mut items = Vec::new();
     skip_ws(c, pos);
@@ -188,7 +198,7 @@ fn parse_arr(c: &[char], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(c, pos)?);
+        items.push(parse_value(c, pos, depth)?);
         skip_ws(c, pos);
         match c.get(*pos) {
             Some(',') => *pos += 1,
@@ -201,7 +211,7 @@ fn parse_arr(c: &[char], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_obj(c: &[char], pos: &mut usize) -> Result<Value, String> {
+fn parse_obj(c: &[char], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(c, pos, '{')?;
     let mut map = BTreeMap::new();
     skip_ws(c, pos);
@@ -214,7 +224,7 @@ fn parse_obj(c: &[char], pos: &mut usize) -> Result<Value, String> {
         let key = parse_str(c, pos)?;
         skip_ws(c, pos);
         expect(c, pos, ':')?;
-        map.insert(key, parse_value(c, pos)?);
+        map.insert(key, parse_value(c, pos, depth)?);
         skip_ws(c, pos);
         match c.get(*pos) {
             Some(',') => *pos += 1,
@@ -357,6 +367,22 @@ mod tests {
 
     fn diag(file: &str, line: u32, rule: &'static str, msg: &str) -> Diagnostic {
         Diagnostic::new(file, line, rule, msg)
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| "{\"k\":".repeat(n) + "0" + &"}".repeat(n);
+        assert!(parse(&arrays(super::MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(super::MAX_DEPTH)).is_ok());
+        for doc in [
+            arrays(super::MAX_DEPTH + 1),
+            objects(super::MAX_DEPTH + 1),
+            "[".repeat(200_000),
+        ] {
+            let err = parse(&doc).expect_err("over-deep nesting is malformed");
+            assert!(err.contains("nesting deeper than 64 levels"), "{err}");
+        }
     }
 
     #[test]

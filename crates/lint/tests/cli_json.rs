@@ -172,6 +172,24 @@ fn io_and_usage_errors_exit_two() {
 }
 
 #[test]
+fn hostile_deeply_nested_baseline_is_malformed_not_a_crash() {
+    // 200,000 nested arrays used to recurse until the stack overflowed
+    // (abort, exit 134); the depth cap turns it into the malformed-baseline
+    // path: a message and exit 2.
+    let baseline: PathBuf = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli_json_deep.json");
+    std::fs::write(&baseline, "[".repeat(200_000)).expect("write baseline");
+    let out = run(&[
+        "check",
+        "--baseline",
+        &baseline.to_string_lossy(),
+        &bad_fixture("wall_clock.rs"),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("nesting deeper than 64 levels"), "{stderr}");
+}
+
+#[test]
 fn help_documents_exit_codes_and_flags() {
     let help = run(&["--help"]);
     assert_eq!(help.status.code(), Some(0));
