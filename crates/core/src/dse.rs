@@ -22,6 +22,7 @@ use cordoba_workloads::task::Task;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::num::FpCategory;
 
 /// Wall-clock distribution of [`evaluate_space`] calls.
 static EVALUATE_SPACE_NS: Histogram = Histogram::new("core/evaluate_space_ns");
@@ -33,9 +34,18 @@ static OP_TIME_SWEEP_NS: Histogram = Histogram::new("core/op_time_sweep_ns");
 /// the [`CostHint`] chunk sizing: the seed 121-config space stays on the
 /// calling thread while thousand-config spaces fan out.
 pub(crate) const EVAL_NS_PER_CONFIG: u64 = 1_200;
-/// Estimated cost of one tCDP matrix entry (one `DesignPoint::tcdp` call);
-/// a sweep row's hint is this times the point count.
-pub(crate) const TCDP_NS_PER_POINT: u64 = 40;
+/// Measured cost of one tCDP matrix entry through the row kernel
+/// ([`push_row`]: one `DesignPoint::tcdp` call plus the entry's share of
+/// the row summary); a sweep row's hint is this times the point count.
+///
+/// Measured single-threaded on a 2-vCPU x86-64 host (Xeon, baseline
+/// x86-64 target), 960 points × 161 task counts into a warm buffer, min
+/// of 12 × 30 batches: 1.27–1.28 ns per entry when the host was quiet,
+/// up to 1.43 ns under contention (the bare `tcdp` row alone takes
+/// 0.82–0.85 ns). At this constant's whole-nanosecond resolution that is
+/// 1, so sweeps below ~200k entries (e.g. 960 × 161 or 4,096 × 29) stay
+/// on the calling thread.
+pub(crate) const TCDP_NS_PER_POINT: u64 = 1;
 
 /// The batch-evaluation state shared by every configuration of one
 /// `evaluate_space` call: the SoA simulator inputs and the task resolved
@@ -283,8 +293,143 @@ pub fn log_sweep(lo: i32, hi: i32, per_decade: u32) -> Vec<f64> {
         .collect()
 }
 
+/// What one tCDP row answers without being rescanned, recorded by
+/// [`push_row`] while the row is still in cache.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowSummary {
+    /// First index of the row's `f64::total_cmp` minimum: the design
+    /// [`OpTimeSweep::optimal_at`] reports.
+    optimum: usize,
+    /// `fold(f64::INFINITY, f64::min)` over the row: the divisor of
+    /// [`OpTimeSweep::robustness_scores`].
+    best: f64,
+}
+
+/// Entries per block of the summary scan: a block's minimum comes from
+/// independent lanes, and only the first block holding the row minimum is
+/// searched for its index.
+const SCAN_BLOCK: usize = 64;
+
+/// The minimum of `block` over eight independent lanes, and whether the
+/// block holds a NaN. NaNs never win a lane (`x < lane` is false for them),
+/// and which of two zeros a lane keeps is unspecified.
+fn block_min(block: &[f64]) -> (f64, bool) {
+    let mut lanes = [f64::INFINITY; 8];
+    let mut nan = [false; 8];
+    let mut octets = block.chunks_exact(8);
+    for octet in &mut octets {
+        for ((lane, flag), &x) in lanes.iter_mut().zip(&mut nan).zip(octet) {
+            *lane = if x < *lane { x } else { *lane };
+            *flag |= x.is_nan();
+        }
+    }
+    let (mut min, mut has_nan) = (f64::INFINITY, nan.contains(&true));
+    for &x in lanes.iter().chain(octets.remainder()) {
+        min = if x < min { x } else { min };
+        has_nan |= x.is_nan();
+    }
+    (min, has_nan)
+}
+
+impl RowSummary {
+    /// Summarizes a non-empty row, bit for bit as the serial definitions:
+    /// `min_by(total_cmp)` for the optimum and `fold(f64::INFINITY,
+    /// f64::min)` for the best.
+    fn of(row: &[f64]) -> Self {
+        let (mut min, mut has_nan, mut first_block) = (f64::INFINITY, false, 0);
+        for (b, block) in row.chunks(SCAN_BLOCK).enumerate() {
+            let (block_min, block_nan) = block_min(block);
+            has_nan |= block_nan;
+            if block_min < min {
+                (min, first_block) = (block_min, b);
+            }
+        }
+        if has_nan || min.classify() == FpCategory::Zero {
+            // A negative NaN sorts first under `total_cmp`, and the sign
+            // of a zero minimum depends on fold order: answer these rows
+            // with the serial definitions themselves.
+            let optimum = row
+                .iter()
+                .enumerate()
+                .min_by(|a, b| a.1.total_cmp(b.1))
+                .map_or(0, |(p, _)| p);
+            let best = row.iter().copied().fold(f64::INFINITY, f64::min);
+            return Self { optimum, best };
+        }
+        // With no NaN and a nonzero minimum, `total_cmp` agrees with `<`
+        // and every entry equal to the minimum has its bits, so the first
+        // such entry is the optimum and the minimum is the fold's result.
+        // An all-`+inf` row keeps `min = +inf` and finds it at index 0.
+        let start = first_block * SCAN_BLOCK;
+        let offset = row[start..].iter().position(|&x| x == min).unwrap_or(0);
+        Self {
+            optimum: start + offset,
+            best: min,
+        }
+    }
+}
+
+/// The row kernel: appends the tCDP of every point at task count `n` to
+/// `matrix` and returns the row's summary. Every producer of sweep rows
+/// goes through it.
+///
+/// # Errors
+///
+/// Returns an error, appending nothing, if `n` is not positive or `ci_use`
+/// is negative.
+pub(crate) fn push_row(
+    points: &[DesignPoint],
+    n: f64,
+    ci_use: CarbonIntensity,
+    matrix: &mut Vec<f64>,
+) -> Result<RowSummary, CarbonError> {
+    let ctx = OperationalContext::new(n, ci_use)?;
+    let start = matrix.len();
+    matrix.extend(points.iter().map(|p| p.tcdp(&ctx).value()));
+    Ok(RowSummary::of(&matrix[start..]))
+}
+
+/// A contiguous block of sweep rows: the flat row-major matrix and one
+/// summary per row.
+pub(crate) type RowBlock = (Vec<f64>, Vec<RowSummary>);
+
+/// Computes the rows of `task_counts` in order; the first invalid task
+/// count aborts the block.
+fn row_block(
+    points: &[DesignPoint],
+    task_counts: &[f64],
+    ci_use: CarbonIntensity,
+) -> Result<RowBlock, CarbonError> {
+    let mut tcdp = Vec::with_capacity(points.len() * task_counts.len());
+    let rows = task_counts
+        .iter()
+        .map(|&n| push_row(points, n, ci_use, &mut tcdp))
+        .collect::<Result<_, _>>()?;
+    Ok((tcdp, rows))
+}
+
+/// Rejects a sweep without design points or task counts.
+pub(crate) fn require_axes(points: &[DesignPoint], task_counts: &[f64]) -> Result<(), CarbonError> {
+    if points.is_empty() {
+        return Err(CarbonError::Empty {
+            what: "design points",
+        });
+    }
+    if task_counts.is_empty() {
+        return Err(CarbonError::Empty {
+            what: "task counts",
+        });
+    }
+    Ok(())
+}
+
 /// tCDP of every design at every operational time (one Fig. 8 subplot).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Serializes as its four public-facing fields (`points`, `task_counts`,
+/// `ci_use` and the flat matrix); deserializing checks the matrix size and
+/// recomputes the row summaries.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(try_from = "SweepWire", into = "SweepWire")]
 pub struct OpTimeSweep {
     /// The candidate designs.
     pub points: Vec<DesignPoint>,
@@ -294,17 +439,61 @@ pub struct OpTimeSweep {
     pub ci_use: CarbonIntensity,
     /// Flat row-major tCDP matrix: entry `n * points.len() + p` is the
     /// tCDP of point `p` at task count `n`. One contiguous allocation
-    /// instead of one `Vec` per row, so row scans (optimum lookups,
-    /// robustness scores) stream linearly through memory.
+    /// instead of one `Vec` per row, so row scans stream linearly through
+    /// memory.
     tcdp: Vec<f64>,
+    /// One summary per row, so survivor queries never rescan the matrix.
+    /// A pure function of `tcdp`.
+    rows: Vec<RowSummary>,
+}
+
+/// The serialized shape of an [`OpTimeSweep`]: its fields minus the row
+/// summaries.
+#[derive(Serialize, Deserialize)]
+struct SweepWire {
+    points: Vec<DesignPoint>,
+    task_counts: Vec<f64>,
+    ci_use: CarbonIntensity,
+    tcdp: Vec<f64>,
+}
+
+impl TryFrom<SweepWire> for OpTimeSweep {
+    type Error = CarbonError;
+
+    fn try_from(wire: SweepWire) -> Result<Self, CarbonError> {
+        Self::from_flat(wire.points, wire.task_counts, wire.ci_use, wire.tcdp)
+    }
+}
+
+impl From<OpTimeSweep> for SweepWire {
+    fn from(sweep: OpTimeSweep) -> Self {
+        Self {
+            points: sweep.points,
+            task_counts: sweep.task_counts,
+            ci_use: sweep.ci_use,
+            tcdp: sweep.tcdp,
+        }
+    }
+}
+
+/// Equality of the inputs and the matrix; the row summaries follow from
+/// the matrix.
+impl PartialEq for OpTimeSweep {
+    fn eq(&self, other: &Self) -> bool {
+        self.points == other.points
+            && self.task_counts == other.task_counts
+            && self.ci_use == other.ci_use
+            && self.tcdp == other.tcdp
+    }
 }
 
 impl OpTimeSweep {
     /// Evaluates the sweep.
     ///
-    /// The tCDP matrix rows (one per task count) are computed in parallel;
-    /// each row is independent, so the matrix is bit-identical to the
-    /// sequential evaluation at any thread count.
+    /// Sweeps whose estimated work pays for threads split the rows into
+    /// contiguous blocks computed in parallel; each row is independent, so
+    /// the matrix is bit-identical to the sequential evaluation at any
+    /// thread count.
     ///
     /// # Errors
     ///
@@ -316,77 +505,93 @@ impl OpTimeSweep {
         ci_use: CarbonIntensity,
     ) -> Result<Self, CarbonError> {
         let _span = cordoba_obs::span_timed("core/op_time_sweep", &OP_TIME_SWEEP_NS);
-        if points.is_empty() {
-            return Err(CarbonError::Empty {
-                what: "design points",
-            });
-        }
-        if task_counts.is_empty() {
-            return Err(CarbonError::Empty {
-                what: "task counts",
-            });
-        }
-        let hint = CostHint::per_item_ns(TCDP_NS_PER_POINT.saturating_mul(points.len() as u64));
-        if hint.workers(task_counts.len(), cordoba_par::effective_threads()) == 1 {
-            // Sequential path: stream entries straight into the flat
-            // row-major matrix, with no per-row allocation or merge copy.
-            let mut tcdp = Vec::with_capacity(points.len() * task_counts.len());
-            for &n in &task_counts {
-                let ctx = OperationalContext::new(n, ci_use)?;
-                tcdp.extend(points.iter().map(|p| p.tcdp(&ctx).value()));
-            }
-            return Ok(Self {
-                points,
-                task_counts,
-                ci_use,
-                tcdp,
-            });
-        }
-        let rows: Vec<Vec<f64>> =
-            cordoba_par::try_par_map_indexed_hinted(&task_counts, hint, |_, &n| {
-                let ctx = OperationalContext::new(n, ci_use)?;
-                Ok(points.iter().map(|p| p.tcdp(&ctx).value()).collect())
+        require_axes(&points, &task_counts)?;
+        // One block per worker, so the map below runs each block on its own
+        // worker (or the lone block inline on this thread).
+        let row_ns = TCDP_NS_PER_POINT.saturating_mul(points.len() as u64);
+        let workers = CostHint::per_item_ns(row_ns)
+            .workers(task_counts.len(), cordoba_par::effective_threads());
+        let block_len = task_counts.len().div_ceil(workers);
+        let blocks: Vec<&[f64]> = task_counts.chunks(block_len).collect();
+        let block_hint = CostHint::per_item_ns(row_ns.saturating_mul(block_len as u64));
+        let mut built =
+            cordoba_par::try_par_map_indexed_hinted(&blocks, block_hint, |_, counts| {
+                row_block(&points, counts, ci_use)
             })?;
-        Ok(Self::from_rows(points, task_counts, ci_use, rows))
+        let (tcdp, rows) = if built.len() == 1 {
+            built.swap_remove(0)
+        } else {
+            let mut tcdp = Vec::with_capacity(points.len() * task_counts.len());
+            let mut rows = Vec::with_capacity(task_counts.len());
+            for (block_tcdp, block_rows) in built {
+                tcdp.extend(block_tcdp);
+                rows.extend(block_rows);
+            }
+            (tcdp, rows)
+        };
+        Ok(Self {
+            points,
+            task_counts,
+            ci_use,
+            tcdp,
+            rows,
+        })
     }
 
-    /// Assembles a sweep from rows computed elsewhere (the supervised
-    /// checkpoint/resume path), flattening them into the row-major matrix.
-    /// Callers guarantee `rows[n][p]` matches `task_counts[n]` ×
-    /// `points[p]` — the supervised sweep only produces rows through the
-    /// same per-row computation as [`Self::new`].
-    pub(crate) fn from_rows(
+    /// Assembles a sweep from rows summarized as they were written.
+    /// Callers guarantee the shape: `tcdp` holds `task_counts.len()` rows of
+    /// `points.len()` entries, and `rows[n]` came from [`push_row`] for row
+    /// `n`.
+    pub(crate) fn from_summarized(
         points: Vec<DesignPoint>,
         task_counts: Vec<f64>,
         ci_use: CarbonIntensity,
-        rows: Vec<Vec<f64>>,
+        (tcdp, rows): RowBlock,
     ) -> Self {
-        let mut tcdp = Vec::with_capacity(points.len() * task_counts.len());
-        for row in rows {
-            tcdp.extend(row);
-        }
         Self {
             points,
             task_counts,
             ci_use,
             tcdp,
+            rows,
         }
     }
 
-    /// Reassembles a sweep from a flat row-major matrix restored by the
-    /// content-addressed store; `None` when the matrix size does not match
+    /// Reassembles a sweep from a flat row-major matrix computed or stored
+    /// elsewhere (the store's warm path, a resumed checkpoint, a
+    /// deserialized sweep), summarizing each row once.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CarbonError::Empty`] for empty `points` or `task_counts`,
+    /// and [`CarbonError::OutOfRange`] when the matrix size is not
     /// `points.len() * task_counts.len()`.
     pub(crate) fn from_flat(
         points: Vec<DesignPoint>,
         task_counts: Vec<f64>,
         ci_use: CarbonIntensity,
         tcdp: Vec<f64>,
-    ) -> Option<Self> {
-        (tcdp.len() == points.len() * task_counts.len()).then_some(Self {
+    ) -> Result<Self, CarbonError> {
+        require_axes(&points, &task_counts)?;
+        let cells = points.len().saturating_mul(task_counts.len());
+        if tcdp.len() != cells {
+            return Err(CarbonError::out_of_range(
+                "tcdp matrix length",
+                tcdp.len() as f64,
+                cells as f64,
+                cells as f64,
+            ));
+        }
+        let rows = tcdp
+            .chunks_exact(points.len())
+            .map(RowSummary::of)
+            .collect();
+        Ok(Self {
             points,
             task_counts,
             ci_use,
             tcdp,
+            rows,
         })
     }
 
@@ -445,27 +650,31 @@ impl OpTimeSweep {
     /// Panics if `n` is out of range.
     #[must_use]
     pub fn optimal_at(&self, n: usize) -> usize {
-        self.row(n)
+        self.rows[n].optimum
+    }
+
+    /// The distinct names of the row optima.
+    fn optimal_names(&self) -> BTreeSet<&str> {
+        self.rows
             .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .expect("points is non-empty") // cordoba-lint: allow(no-panic) — OpTimeSweep::new rejects empty point lists
-            .0
+            .map(|row| self.points[row.optimum].name.as_str())
+            .collect()
     }
 
     /// Names of all designs that are optimal at some operational time —
     /// the survivors of the Fig. 8 elimination.
     #[must_use]
     pub fn ever_optimal(&self) -> BTreeSet<String> {
-        (0..self.task_counts.len())
-            .map(|n| self.points[self.optimal_at(n)].name.clone())
+        self.optimal_names()
+            .into_iter()
+            .map(str::to_owned)
             .collect()
     }
 
     /// Fraction of the design space eliminated as never-optimal.
     #[must_use]
     pub fn elimination_fraction(&self) -> f64 {
-        1.0 - self.ever_optimal().len() as f64 / self.points.len() as f64
+        1.0 - self.optimal_names().len() as f64 / self.points.len() as f64
     }
 
     /// tCDP of each design at sweep index `n`, normalized to the optimum
@@ -477,7 +686,7 @@ impl OpTimeSweep {
     #[must_use]
     pub fn normalized_at(&self, n: usize) -> Vec<f64> {
         let row = self.row(n);
-        let best = row[self.optimal_at(n)];
+        let best = row[self.rows[n].optimum];
         row.iter().map(|v| v / best).collect()
     }
 
@@ -491,21 +700,22 @@ impl OpTimeSweep {
     #[must_use]
     pub fn robustness_score(&self, p: usize) -> f64 {
         let sum: f64 = (0..self.task_counts.len())
-            .map(|n| self.normalized_at(n)[p])
+            .map(|n| {
+                let row = self.row(n);
+                row[p] / row[self.rows[n].optimum]
+            })
             .sum();
         sum / self.task_counts.len() as f64
     }
 
-    /// Robustness scores of every design, computed in one pass over the
-    /// sweep (one optimum lookup per operational time instead of one per
-    /// design x time).
+    /// Robustness scores of every design, computed in one divide pass over
+    /// the sweep with each row's recorded best.
     #[must_use]
     pub fn robustness_scores(&self) -> Vec<f64> {
         let mut sums = vec![0.0; self.points.len()];
-        for row in self.tcdp.chunks_exact(self.points.len()) {
-            let best = row.iter().copied().fold(f64::INFINITY, f64::min);
+        for (row, summary) in self.tcdp.chunks_exact(self.points.len()).zip(&self.rows) {
             for (sum, v) in sums.iter_mut().zip(row) {
-                *sum += v / best;
+                *sum += v / summary.best;
             }
         }
         let n = self.task_counts.len() as f64;
@@ -779,6 +989,106 @@ mod tests {
         assert!(result.failures[0].to_string().contains("poison"));
         for p in &result.points {
             assert!(p.delay.is_finite() && p.energy.is_finite());
+        }
+    }
+
+    #[test]
+    fn row_summary_matches_the_serial_definitions_on_hostile_rows() {
+        // Values no validated design point produces, reachable through a
+        // restored or deserialized matrix: NaNs of both signs and several
+        // payloads, both infinities, both zeros, subnormals and ties.
+        let pool = [
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0xfff0_0000_0000_0002),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            1.5,
+            1.5,
+            -2.0,
+            7.0,
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for case in 0..4_000 {
+            let len = 1 + (next() % 150) as usize;
+            // Mostly ordinary values, with specials mixed in at a
+            // per-case rate, so both the fast scan and its fallback run.
+            let special_rate = next() % 4;
+            let row: Vec<f64> = (0..len)
+                .map(|_| {
+                    if next() % 8 < special_rate {
+                        pool[(next() % pool.len() as u64) as usize]
+                    } else {
+                        1.0 + (next() % 64) as f64
+                    }
+                })
+                .collect();
+            let summary = RowSummary::of(&row);
+            let optimum = row
+                .iter()
+                .enumerate()
+                .min_by(|a, b| a.1.total_cmp(b.1))
+                .unwrap()
+                .0;
+            let best = row.iter().copied().fold(f64::INFINITY, f64::min);
+            assert_eq!(summary.optimum, optimum, "case {case}: {row:?}");
+            assert_eq!(
+                summary.best.to_bits(),
+                best.to_bits(),
+                "case {case}: {row:?}"
+            );
+        }
+    }
+
+    fn wire(points: usize, counts: usize, cells: usize) -> SweepWire {
+        let cfg = config_by_name("a1").unwrap();
+        let p = accel_design_point(&cfg, &Task::ai_5_kernels(), &EmbodiedModel::default()).unwrap();
+        SweepWire {
+            points: vec![p; points],
+            task_counts: log_sweep(4, 5, 1)
+                .into_iter()
+                .cycle()
+                .take(counts)
+                .collect(),
+            ci_use: grids::US_AVERAGE,
+            tcdp: (0..cells).map(|c| 10.0 - c as f64).collect(),
+        }
+    }
+
+    #[test]
+    fn deserialized_sweeps_check_their_shape_and_resummarize() {
+        let sweep = OpTimeSweep::try_from(wire(3, 2, 6)).unwrap();
+        assert_eq!(sweep.tcdp_matrix().len(), 6);
+        assert_eq!((sweep.optimal_at(0), sweep.optimal_at(1)), (2, 2));
+        assert_eq!(sweep.row(1), &[7.0, 6.0, 5.0]);
+        let round_trip = OpTimeSweep::try_from(SweepWire::from(sweep.clone())).unwrap();
+        assert_eq!(round_trip, sweep);
+
+        for (points, counts, cells) in [(3, 2, 5), (3, 2, 7), (3, 2, 0)] {
+            assert!(
+                matches!(
+                    OpTimeSweep::try_from(wire(points, counts, cells)),
+                    Err(CarbonError::OutOfRange { .. })
+                ),
+                "{points}x{counts} with {cells} cells"
+            );
+        }
+        for (points, counts, what) in [(0, 2, "design points"), (3, 0, "task counts")] {
+            assert_eq!(
+                OpTimeSweep::try_from(wire(points, counts, 0)).unwrap_err(),
+                CarbonError::Empty { what }
+            );
         }
     }
 

@@ -334,7 +334,7 @@ pub fn op_time_sweep_stored(
     let key = op_time_sweep_key(&points, &task_counts, ci_use);
     if let Some(lines) = store.get(KIND_OP_TIME_SWEEP, key) {
         if let Some(matrix) = decode_matrix(&lines, task_counts.len(), points.len()) {
-            if let Some(sweep) =
+            if let Ok(sweep) =
                 OpTimeSweep::from_flat(points.clone(), task_counts.clone(), ci_use, matrix)
             {
                 return Ok(sweep);

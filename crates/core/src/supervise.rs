@@ -28,13 +28,14 @@
 //! `interrupt-at-any-point + resume == uninterrupted` bit-for-bit at any
 //! thread count. The property suite in `crates/robust` pins this.
 
-use crate::dse::{EvalBatch, EvalFailure, OpTimeSweep, ResilientEval};
+use crate::dse::{
+    push_row, require_axes, EvalBatch, EvalFailure, OpTimeSweep, ResilientEval, RowBlock,
+};
 use crate::error::CoreError;
-use crate::metrics::{DesignPoint, OperationalContext};
+use crate::metrics::DesignPoint;
 use cordoba_accel::config::AcceleratorConfig;
 use cordoba_carbon::embodied::EmbodiedModel;
 use cordoba_carbon::units::{CarbonIntensity, Seconds};
-use cordoba_carbon::CarbonError;
 use cordoba_obs::Event;
 use cordoba_par::supervise::{panic_message, Failure, Slots, StopReason, Supervisor};
 use cordoba_par::CostHint;
@@ -270,37 +271,49 @@ impl SweepCheckpoint {
         let hint = CostHint::per_item_ns(
             crate::dse::TCDP_NS_PER_POINT.saturating_mul(self.points.len() as u64),
         );
-        let flat = if self.rows.completed() == 0
+        if self.rows.completed() == 0
             && hint.workers(self.rows.total(), cordoba_par::effective_threads()) == 1
         {
-            advance_rows_streaming(
+            let streamed = advance_rows_streaming(
                 &mut self.rows,
                 &self.points,
                 &self.task_counts,
                 self.ci_use,
                 sup,
-            )?
-        } else {
-            let (points, task_counts, ci_use) = (&self.points, &self.task_counts, self.ci_use);
-            first_failure(self.rows.advance(hint, sup, |idx| {
-                let ctx = OperationalContext::new(task_counts[idx], ci_use)?;
-                Ok(points.iter().map(|p| p.tcdp(&ctx).value()).collect())
-            }))?;
-            self.rows
-                .values()
-                .map(|rows| rows.flatten().copied().collect())
-        };
-        match flat {
-            // The flat matrix holds exactly rows × points cells, so the
-            // size check cannot fail; the error arm keeps this total
-            // without a panic path.
-            Some(flat) => OpTimeSweep::from_flat(self.points, self.task_counts, self.ci_use, flat)
-                .map(SupervisedSweep::Complete)
-                .ok_or(CoreError::Carbon(CarbonError::Empty {
-                    what: "tcdp matrix",
-                })),
-            None => Ok(SupervisedSweep::Partial(self)),
+            )?;
+            return Ok(match streamed {
+                Some(block) => SupervisedSweep::Complete(OpTimeSweep::from_summarized(
+                    self.points,
+                    self.task_counts,
+                    self.ci_use,
+                    block,
+                )),
+                None => SupervisedSweep::Partial(self),
+            });
         }
+        let (points, task_counts, ci_use) = (&self.points, &self.task_counts, self.ci_use);
+        first_failure(self.rows.advance(hint, sup, |idx| {
+            // A slot holds the bare row; the completed sweep summarizes
+            // every row once, restored ones included.
+            let mut row = Vec::with_capacity(points.len());
+            push_row(points, task_counts[idx], ci_use, &mut row)?;
+            Ok(row)
+        }))?;
+        let Some(flat) = self
+            .rows
+            .values()
+            .map(|rows| rows.flatten().copied().collect())
+        else {
+            return Ok(SupervisedSweep::Partial(self));
+        };
+        // The flat matrix holds exactly rows × points cells of non-empty
+        // inputs, so the shape check cannot fail.
+        Ok(SupervisedSweep::Complete(OpTimeSweep::from_flat(
+            self.points,
+            self.task_counts,
+            self.ci_use,
+            flat,
+        )?))
     }
 
     /// Serializes the checkpoint to its deterministic text form and
@@ -483,27 +496,28 @@ impl SweepCheckpoint {
 }
 
 /// Sequential fast path for a fresh sweep: streams every row straight into
-/// one flat row-major matrix — no per-row allocation and no completion
-/// merge copy, matching the unsupervised [`OpTimeSweep::new`] sequential
-/// path. Supervision semantics are those of [`Slots::advance`] at one
+/// one flat row-major matrix, summarizing each as it is written — no
+/// per-row allocation and no completion merge copy, matching the
+/// unsupervised [`OpTimeSweep::new`] single-block path. Supervision
+/// semantics are those of [`Slots::advance`] at one
 /// worker: a stop check before every row, per-row panic isolation,
 /// per-attempt progress accounting, and work continuing past a failed row
 /// so counters and events agree.
 ///
-/// Returns the complete matrix, or `None` after filling the streamed prefix
-/// into `rows` and recording the stop when the supervisor stopped the
-/// sweep.
+/// Returns the complete matrix with its row summaries, or `None` after
+/// filling the streamed prefix into `rows` and recording the stop when the
+/// supervisor stopped the sweep.
 fn advance_rows_streaming(
     rows: &mut Slots<Vec<f64>>,
     points: &[DesignPoint],
     task_counts: &[f64],
     ci_use: CarbonIntensity,
     sup: &Supervisor,
-) -> Result<Option<Vec<f64>>, CoreError> {
+) -> Result<Option<RowBlock>, CoreError> {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     let width = points.len();
     let mut flat: Vec<f64> = Vec::with_capacity(width.saturating_mul(task_counts.len()));
-    let mut completed_rows = 0usize;
+    let mut summaries = Vec::with_capacity(task_counts.len());
     let mut first_error: Option<CoreError> = None;
     let mut stopped = false;
     for &n in task_counts {
@@ -512,15 +526,11 @@ fn advance_rows_streaming(
             break;
         }
         let base = flat.len();
-        let attempt = catch_unwind(AssertUnwindSafe(|| -> Result<(), CarbonError> {
-            let ctx = OperationalContext::new(n, ci_use)?;
-            flat.extend(points.iter().map(|p| p.tcdp(&ctx).value()));
-            Ok(())
-        }));
+        let attempt = catch_unwind(AssertUnwindSafe(|| push_row(points, n, ci_use, &mut flat)));
         match attempt {
-            Ok(Ok(())) => {
+            Ok(Ok(summary)) => {
                 sup.note_completed(1);
-                completed_rows += 1;
+                summaries.push(summary);
             }
             Ok(Err(error)) => {
                 // An input-validation error still counts as an attempted
@@ -544,12 +554,12 @@ fn advance_rows_streaming(
         return Err(error);
     }
     if !stopped {
-        return Ok(Some(flat));
+        return Ok(Some((flat, summaries)));
     }
     // Interrupted: split the streamed prefix into per-row checkpoint slots
     // (every attempted row succeeded, so the prefix is densely packed).
     let reason = sup.record_stop(sup.should_stop().unwrap_or(StopReason::Cancelled));
-    for (k, row) in flat.chunks_exact(width).take(completed_rows).enumerate() {
+    for (k, row) in flat.chunks_exact(width).take(summaries.len()).enumerate() {
         rows.fill(k, row.to_vec());
     }
     rows.set_stop(Some(reason));
@@ -577,16 +587,7 @@ pub fn op_time_sweep_supervised(
         "rows",
         u64::try_from(task_counts.len()).unwrap_or(u64::MAX),
     );
-    if points.is_empty() {
-        return Err(CoreError::Carbon(CarbonError::Empty {
-            what: "design points",
-        }));
-    }
-    if task_counts.is_empty() {
-        return Err(CoreError::Carbon(CarbonError::Empty {
-            what: "task counts",
-        }));
-    }
+    require_axes(&points, &task_counts)?;
     let checkpoint = SweepCheckpoint {
         rows: Slots::new(task_counts.len()),
         points,

@@ -701,10 +701,12 @@ fn fold_regret<'a>(
     totals
 }
 
-/// Estimated cost of one RNG block: [`MC_BLOCK`] scenarios of roughly one
-/// tCDP evaluation each. Steers supervised chunking only (a regret block
-/// scales it by the design count).
-const MC_BLOCK_NS: u64 = MC_BLOCK as u64 * crate::dse::TCDP_NS_PER_POINT;
+/// Estimated cost of one RNG block: ~40 ns for each of its [`MC_BLOCK`]
+/// scenarios (a scenario draw plus one tCDP evaluation). Steers supervised
+/// chunking only (a regret block scales it by the design count). Kept
+/// apart from the sweep's per-entry hint so that remeasuring the sweep
+/// kernel leaves Monte Carlo scheduling alone.
+const MC_BLOCK_NS: u64 = MC_BLOCK as u64 * 40;
 
 /// The one resume-shape check of the supervised Monte Carlo types: a
 /// resume must draw the same scenario stream length (`samples`, which also
