@@ -492,29 +492,11 @@ fn cmd_dse(args: &Args) -> Result<String, CliError> {
     }
 
     let mut out = String::new();
-    let mut quarantined: Vec<EvalFailure> = Vec::new();
-    let points = if args.flag("lenient") {
-        let eval = evaluate_space_resilient(&design_space(), &task, &EmbodiedModel::default());
-        if eval.degraded() {
-            let _ = writeln!(
-                out,
-                "quarantined {} of {} configurations:",
-                eval.failures.len(),
-                eval.points.len() + eval.failures.len()
-            );
-            for failure in &eval.failures {
-                let _ = writeln!(out, "  {failure}");
-            }
-        }
-        if eval.points.is_empty() {
-            return Err(CliError::Usage(
-                "every configuration failed to evaluate".to_owned(),
-            ));
-        }
-        quarantined = eval.failures;
-        eval.points
+    let (points, quarantined) = if args.flag("lenient") {
+        evaluate_lenient(&task, &mut out)?
     } else {
-        evaluate_space(&design_space(), &task, &EmbodiedModel::default())?
+        let points = evaluate_space(&design_space(), &task, &EmbodiedModel::default())?;
+        (points, Vec::new())
     };
     let _ = writeln!(out, "task: {task} | grid: {ci}");
     // The evaluation stage above runs unsupervised (it is the fast part);
@@ -537,6 +519,34 @@ fn cmd_dse(args: &Args) -> Result<String, CliError> {
         // the checkpoint carries the progress instead.
         SupervisedSweep::Partial(partial) => dse_checkpoint(args, partial, out),
     }
+}
+
+/// The `dse --lenient` evaluation, shared with and without `--store`:
+/// configurations that fail to evaluate are quarantined and listed in
+/// `out`, and the run fails only when none survives. Returns the
+/// surviving points and the quarantine.
+fn evaluate_lenient(
+    task: &Task,
+    out: &mut String,
+) -> Result<(Vec<DesignPoint>, Vec<EvalFailure>), CliError> {
+    let eval = evaluate_space_resilient(&design_space(), task, &EmbodiedModel::default());
+    if eval.degraded() {
+        let _ = writeln!(
+            out,
+            "quarantined {} of {} configurations:",
+            eval.failures.len(),
+            eval.points.len() + eval.failures.len()
+        );
+        for failure in &eval.failures {
+            let _ = writeln!(out, "  {failure}");
+        }
+    }
+    if eval.points.is_empty() {
+        return Err(CliError::Usage(
+            "every configuration failed to evaluate".to_owned(),
+        ));
+    }
+    Ok((eval.points, eval.failures))
 }
 
 /// Builds the carbon attribution ledger for a completed sweep, reconciles
@@ -640,29 +650,12 @@ fn dse_stored(
         }
     }
     let mut out = String::new();
-    let mut quarantined: Vec<EvalFailure> = Vec::new();
-    let points = if lenient {
-        let eval = evaluate_space_resilient(&design_space(), task, &EmbodiedModel::default());
-        if eval.degraded() {
-            let _ = writeln!(
-                out,
-                "quarantined {} of {} configurations:",
-                eval.failures.len(),
-                eval.points.len() + eval.failures.len()
-            );
-            for failure in &eval.failures {
-                let _ = writeln!(out, "  {failure}");
-            }
-        }
-        if eval.points.is_empty() {
-            return Err(CliError::Usage(
-                "every configuration failed to evaluate".to_owned(),
-            ));
-        }
-        quarantined = eval.failures;
-        eval.points
+    let (points, quarantined) = if lenient {
+        evaluate_lenient(task, &mut out)?
     } else {
-        evaluate_space_stored(&design_space(), task, &EmbodiedModel::default(), &store)?
+        let points =
+            evaluate_space_stored(&design_space(), task, &EmbodiedModel::default(), &store)?;
+        (points, Vec::new())
     };
     let _ = writeln!(out, "task: {task} | grid: {ci}");
     let sweep = op_time_sweep_stored(points, log_sweep(lo, hi, 2), ci, &store)?;

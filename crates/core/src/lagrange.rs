@@ -13,7 +13,6 @@ use cordoba_carbon::embodied::EmbodiedBreakdown;
 use cordoba_carbon::units::CarbonIntensity;
 use cordoba_carbon::CarbonError;
 use cordoba_obs::{Counter, Event};
-use cordoba_par::Supervisor;
 use serde::{Deserialize, Serialize};
 
 /// Total argmin evaluations spent across all β-sweep solves.
@@ -123,43 +122,6 @@ impl BetaSweep {
         tol: f64,
         budget: usize,
     ) -> Result<BetaSolve, CarbonError> {
-        self.solve_inner(beta_lo, beta_hi, tol, budget, None)
-    }
-
-    /// [`BetaSweep::solve_transitions`] under a [`Supervisor`]: the solver
-    /// checks for cancellation or deadline exhaustion at every wave
-    /// boundary and, when stopped, returns the transitions found so far as
-    /// [`BetaSolve::NotConverged`] — exactly the shape budget exhaustion
-    /// produces, so callers need no new handling. Each argmin evaluation
-    /// counts one unit of supervised progress.
-    ///
-    /// Results are identical at every thread count for a deterministic
-    /// supervisor (unbounded or count-tripped); a wall-clock deadline stops
-    /// at a hardware-dependent wave, but always on a wave boundary.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an empty candidate set, non-finite or negative
-    /// `beta_lo`, `beta_hi <= beta_lo`, or a non-positive `tol`.
-    pub fn solve_transitions_supervised(
-        &self,
-        beta_lo: f64,
-        beta_hi: f64,
-        tol: f64,
-        budget: usize,
-        sup: &Supervisor,
-    ) -> Result<BetaSolve, CarbonError> {
-        self.solve_inner(beta_lo, beta_hi, tol, budget, Some(sup))
-    }
-
-    fn solve_inner(
-        &self,
-        beta_lo: f64,
-        beta_hi: f64,
-        tol: f64,
-        budget: usize,
-        sup: Option<&Supervisor>,
-    ) -> Result<BetaSolve, CarbonError> {
         let _span = cordoba_obs::span_with(
             "core/beta_solve",
             "candidates",
@@ -203,29 +165,13 @@ impl BetaSweep {
             // endpoint argmins before giving up; preserve that count.
             return not_converged(transitions, budget.min(1));
         }
-        // Supervision: a stop observed at a wave boundary ends the solve
-        // with the transitions found so far, shaped exactly like budget
-        // exhaustion.
-        let stopped = |sup: Option<&Supervisor>| {
-            sup.and_then(|s| s.should_stop().map(|reason| s.record_stop(reason)))
-        };
-        if stopped(sup).is_some() {
-            return not_converged(transitions, 0);
-        }
         let lo_arg = argmin(beta_lo);
         let hi_arg = argmin(beta_hi);
         let mut evaluations = 2usize;
-        if let Some(s) = sup {
-            s.note_completed(2);
-        }
 
         // Disputed intervals of the current wave, ascending in β.
         let mut pending = vec![(beta_lo, lo_arg, beta_hi, hi_arg)];
         while !pending.is_empty() {
-            if stopped(sup).is_some() {
-                transitions.sort_by(|a, b| a.beta.total_cmp(&b.beta));
-                return not_converged(transitions, evaluations);
-            }
             let mut bisect: Vec<(f64, usize, f64, usize)> = Vec::new();
             for (lo, lo_arg, hi, hi_arg) in pending {
                 if lo_arg == hi_arg {
@@ -253,9 +199,6 @@ impl BetaSweep {
                 .collect();
             let mid_args = cordoba_par::par_map(&mids, |&beta| argmin(beta));
             evaluations += k;
-            if let Some(s) = sup {
-                s.note_completed(u64::try_from(k).unwrap_or(u64::MAX));
-            }
             if k < bisect.len() {
                 transitions.sort_by(|a, b| a.beta.total_cmp(&b.beta));
                 return not_converged(transitions, evaluations);
@@ -575,50 +518,6 @@ mod tests {
         let none = sweep.solve_transitions(0.0, 1.0, 0.5, 0).unwrap();
         assert!(!none.converged());
         assert!(none.transitions().is_empty());
-    }
-
-    #[test]
-    fn supervised_solver_matches_unsupervised_when_unbounded() {
-        let sweep = BetaSweep::run(&candidates());
-        let direct = cordoba_par::with_threads(2, || {
-            sweep.solve_transitions(0.0, 1e4, 1e-6, 10_000).unwrap()
-        });
-        let sup = Supervisor::unbounded();
-        let supervised = cordoba_par::with_threads(2, || {
-            sweep
-                .solve_transitions_supervised(0.0, 1e4, 1e-6, 10_000, &sup)
-                .unwrap()
-        });
-        assert_eq!(supervised, direct);
-        assert!(sup.progress().completed >= 2);
-    }
-
-    #[test]
-    fn supervised_solver_stops_at_wave_boundaries() {
-        let sweep = BetaSweep::run(&candidates());
-        // Cancelled before any evaluation: structured NotConverged, zero
-        // evaluations.
-        let sup = Supervisor::unbounded();
-        sup.cancel();
-        let stopped = cordoba_par::with_threads(1, || {
-            sweep
-                .solve_transitions_supervised(0.0, 1e4, 1e-6, 10_000, &sup)
-                .unwrap()
-        });
-        assert!(!stopped.converged());
-        assert!(stopped.transitions().is_empty());
-        // Tripped after the endpoint argmins: stops on the first wave
-        // boundary with the evaluations spent so far.
-        let trip = Supervisor::tripping_after(2);
-        let partial = cordoba_par::with_threads(1, || {
-            sweep
-                .solve_transitions_supervised(0.0, 1e4, 1e-6, 10_000, &trip)
-                .unwrap()
-        });
-        match partial {
-            BetaSolve::NotConverged { evaluations, .. } => assert_eq!(evaluations, 2),
-            BetaSolve::Converged { .. } => panic!("expected NotConverged"),
-        }
     }
 
     #[test]

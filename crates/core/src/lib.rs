@@ -99,19 +99,15 @@ pub mod prelude {
         pareto_indices_kd_naive, pareto_indices_naive, Point2, PointK,
     };
     pub use crate::report::{fmt_num, fmt_ratio, Table};
-    pub use crate::store::{
-        beta_sweep_stored, evaluate_space_multi_stored, evaluate_space_stored, op_time_sweep_stored,
-    };
+    pub use crate::store::{evaluate_space_stored, op_time_sweep_stored};
     pub use crate::supervise::{
         evaluate_space_supervised, op_time_sweep_supervised, SupervisedEval, SupervisedSweep,
         SweepCheckpoint,
     };
     pub use crate::uncertainty::{
-        context_for_embodied_share, domain_analysis, monte_carlo_regret,
-        monte_carlo_regret_supervised, monte_carlo_source_tcdp, monte_carlo_source_tcdp_sampled,
-        monte_carlo_source_tcdp_supervised, monte_carlo_tcdp, monte_carlo_tcdp_supervised,
-        scenario_regret, tcdp_under_source, tcdp_under_source_sampled, DomainAnalysis, DomainClass,
-        MonteCarloSpec, MonteCarloSummary, SourceMonteCarloSpec, SupervisedMonteCarlo,
-        SupervisedRegret,
+        context_for_embodied_share, domain_analysis, monte_carlo_regret, monte_carlo_source_tcdp,
+        monte_carlo_source_tcdp_sampled, monte_carlo_tcdp, scenario_regret, tcdp_under_source,
+        tcdp_under_source_sampled, DomainAnalysis, DomainClass, MonteCarloSpec, MonteCarloSummary,
+        SourceMonteCarloSpec,
     };
 }

@@ -3,8 +3,8 @@
 //!
 //! The DSE pipeline is deterministic and bit-reproducible at every thread
 //! count (pinned by the `par`/`obs`/supervision property suites), so each
-//! expensive result — [`evaluate_space`], [`evaluate_space_multi`],
-//! [`OpTimeSweep`], [`BetaSweep`] — is a pure function of its typed inputs.
+//! expensive result — [`evaluate_space`] and [`OpTimeSweep`] — is a pure
+//! function of its typed inputs.
 //! The `*_stored` wrappers below derive a canonical [`StoreKey`] over
 //! *everything* the result depends on (config shapes including the full
 //! `TechTuning`, task kernel mixes, the embodied model, the use-phase
@@ -27,11 +27,9 @@
 //!   store write failures are swallowed because persistence is an
 //!   accelerant, not a correctness dependency.
 
-use crate::dse::{evaluate_space, evaluate_space_multi, OpTimeSweep};
+use crate::dse::{evaluate_space, OpTimeSweep};
 use crate::error::CoreError;
-use crate::lagrange::BetaSweep;
 use crate::metrics::DesignPoint;
-use crate::pareto::Point2;
 use cordoba_accel::config::{AcceleratorConfig, MemoryIntegration};
 use cordoba_carbon::embodied::EmbodiedModel;
 use cordoba_carbon::units::{CarbonIntensity, GramsCo2e, Joules, Seconds, SquareCentimeters};
@@ -42,12 +40,8 @@ use cordoba_workloads::task::Task;
 
 /// Store kind for [`evaluate_space_stored`] entries.
 pub const KIND_EVAL_SPACE: &str = "eval_space";
-/// Store kind for [`evaluate_space_multi_stored`] entries.
-pub const KIND_EVAL_SPACE_MULTI: &str = "eval_space_multi";
 /// Store kind for [`op_time_sweep_stored`] entries.
 pub const KIND_OP_TIME_SWEEP: &str = "op_time_sweep";
-/// Store kind for [`beta_sweep_stored`] entries.
-pub const KIND_BETA_SWEEP: &str = "beta_sweep";
 
 /// Feeds one configuration — name, geometry, and the *full* tech tuning —
 /// into a key. Unlike the embodied-cache fingerprint, delay and energy
@@ -122,7 +116,7 @@ fn push_model(k: &mut KeyBuilder, model: &EmbodiedModel) {
 }
 
 /// Feeds a design point into a key (for results computed *from* points,
-/// like [`OpTimeSweep`] and [`BetaSweep`]).
+/// like [`OpTimeSweep`]).
 fn push_point(k: &mut KeyBuilder, point: &DesignPoint) {
     k.push_str(&point.name);
     k.push_f64(point.delay.value());
@@ -148,26 +142,6 @@ pub fn evaluate_space_key(
     k.finish()
 }
 
-/// The content-address of one [`evaluate_space_multi`] call.
-#[must_use]
-pub fn evaluate_space_multi_key(
-    configs: &[AcceleratorConfig],
-    tasks: &[Task],
-    embodied: &EmbodiedModel,
-) -> StoreKey {
-    let mut k = KeyBuilder::new(KIND_EVAL_SPACE_MULTI);
-    push_model(&mut k, embodied);
-    k.push_u64(tasks.len() as u64);
-    for task in tasks {
-        push_task(&mut k, task);
-    }
-    k.push_u64(configs.len() as u64);
-    for config in configs {
-        push_config(&mut k, config);
-    }
-    k.finish()
-}
-
 /// The content-address of one [`OpTimeSweep`] evaluation.
 #[must_use]
 pub fn op_time_sweep_key(
@@ -183,17 +157,6 @@ pub fn op_time_sweep_key(
     }
     k.push_u64(points.len() as u64);
     for point in points {
-        push_point(&mut k, point);
-    }
-    k.finish()
-}
-
-/// The content-address of one [`BetaSweep::run`] call.
-#[must_use]
-pub fn beta_sweep_key(candidates: &[DesignPoint]) -> StoreKey {
-    let mut k = KeyBuilder::new(KIND_BETA_SWEEP);
-    k.push_u64(candidates.len() as u64);
-    for point in candidates {
         push_point(&mut k, point);
     }
     k.finish()
@@ -270,54 +233,6 @@ pub fn evaluate_space_stored(
     Ok(points)
 }
 
-/// [`evaluate_space_multi`] with a persistent warm path; one entry covers
-/// the whole multi-task call.
-///
-/// # Errors
-///
-/// Exactly the errors of [`evaluate_space_multi`].
-pub fn evaluate_space_multi_stored(
-    configs: &[AcceleratorConfig],
-    tasks: &[Task],
-    embodied: &EmbodiedModel,
-    store: &Store,
-) -> Result<Vec<Vec<DesignPoint>>, CoreError> {
-    let key = evaluate_space_multi_key(configs, tasks, embodied);
-    if let Some(lines) = store.get(KIND_EVAL_SPACE_MULTI, key) {
-        if let Some(per_task) = decode_multi(&lines, tasks.len(), configs.len()) {
-            return Ok(per_task);
-        }
-    }
-    let per_task = evaluate_space_multi(configs, tasks, embodied)?;
-    let mut lines = vec![format!("tasks {}", per_task.len())];
-    for points in &per_task {
-        lines.extend(encode_points(points));
-    }
-    let _ = store.put(KIND_EVAL_SPACE_MULTI, key, &lines);
-    Ok(per_task)
-}
-
-fn decode_multi(
-    lines: &[String],
-    task_count: usize,
-    config_count: usize,
-) -> Option<Vec<Vec<DesignPoint>>> {
-    let mut it = lines.iter();
-    let tasks: usize = it.next()?.strip_prefix("tasks ")?.parse().ok()?;
-    if tasks != task_count {
-        return None;
-    }
-    let mut per_task = Vec::with_capacity(tasks);
-    for _ in 0..tasks {
-        let points = decode_points(&mut it)?;
-        if points.len() != config_count {
-            return None;
-        }
-        per_task.push(points);
-    }
-    it.next().is_none().then_some(per_task)
-}
-
 /// [`OpTimeSweep::new`] with a persistent warm path: on a hit the tCDP
 /// matrix is restored bit-for-bit from the store without calling the
 /// simulator at all.
@@ -381,74 +296,6 @@ fn decode_matrix(lines: &[String], rows: usize, width: usize) -> Option<Vec<f64>
     it.next().is_none().then_some(matrix)
 }
 
-/// [`BetaSweep::run`] with a persistent warm path.
-#[must_use]
-pub fn beta_sweep_stored(candidates: &[DesignPoint], store: &Store) -> BetaSweep {
-    let key = beta_sweep_key(candidates);
-    if let Some(lines) = store.get(KIND_BETA_SWEEP, key) {
-        if let Some(sweep) = decode_beta(&lines, candidates.len()) {
-            return sweep;
-        }
-    }
-    let sweep = BetaSweep::run(candidates);
-    let _ = store.put(KIND_BETA_SWEEP, key, &encode_beta(&sweep));
-    sweep
-}
-
-fn encode_beta(sweep: &BetaSweep) -> Vec<String> {
-    let mut lines = Vec::with_capacity(sweep.points.len() + 3);
-    lines.push(format!("points {}", sweep.points.len()));
-    for p in &sweep.points {
-        lines.push(format!("p {} {} {}", hex_f64(p.x), hex_f64(p.y), p.name));
-    }
-    let render = |tag: &str, indices: &[usize]| {
-        let mut line = tag.to_string();
-        for i in indices {
-            line.push(' ');
-            line.push_str(&i.to_string());
-        }
-        line
-    };
-    lines.push(render("pareto", &sweep.pareto));
-    lines.push(render("support", &sweep.support));
-    lines
-}
-
-fn decode_beta(lines: &[String], candidate_count: usize) -> Option<BetaSweep> {
-    let mut it = lines.iter();
-    let count: usize = it.next()?.strip_prefix("points ")?.parse().ok()?;
-    if count != candidate_count {
-        return None;
-    }
-    let mut points = Vec::with_capacity(count);
-    for _ in 0..count {
-        let mut fields = it.next()?.strip_prefix("p ")?.splitn(3, ' ');
-        let x = parse_hex_f64(fields.next()?)?;
-        let y = parse_hex_f64(fields.next()?)?;
-        let name = fields.next()?;
-        points.push(Point2::new(name, x, y));
-    }
-    let indices = |line: &str, tag: &str| -> Option<Vec<usize>> {
-        let rest = line.strip_prefix(tag)?;
-        let mut out = Vec::new();
-        for field in rest.split(' ').filter(|f| !f.is_empty()) {
-            let idx: usize = field.parse().ok()?;
-            if idx >= count {
-                return None;
-            }
-            out.push(idx);
-        }
-        Some(out)
-    };
-    let pareto = indices(it.next()?, "pareto")?;
-    let support = indices(it.next()?, "support")?;
-    it.next().is_none().then_some(BetaSweep {
-        points,
-        pareto,
-        support,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,27 +346,6 @@ mod tests {
         for (x, y) in a.iter().zip(b) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
-    }
-
-    #[test]
-    fn multi_and_beta_round_trip() {
-        let store = temp_store("multi-beta");
-        let configs = design_space();
-        let tasks = [Task::ai_5_kernels(), Task::xr_5_kernels()];
-        let model = EmbodiedModel::default();
-        let cold = evaluate_space_multi_stored(&configs, &tasks, &model, &store).unwrap();
-        let warm = evaluate_space_multi_stored(&configs, &tasks, &model, &store).unwrap();
-        assert_eq!(cold, warm);
-        assert_eq!(
-            cold,
-            evaluate_space_multi(&configs, &tasks, &model).unwrap()
-        );
-
-        let candidates = &cold[0];
-        let beta_cold = beta_sweep_stored(candidates, &store);
-        let beta_warm = beta_sweep_stored(candidates, &store);
-        assert_eq!(beta_cold, beta_warm);
-        assert_eq!(beta_cold, BetaSweep::run(candidates));
     }
 
     #[test]

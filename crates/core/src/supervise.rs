@@ -1,12 +1,14 @@
 //! Supervised design-space evaluation and checkpointable sweeps.
 //!
 //! The framework-layer face of the execution-supervision substrate in
-//! [`cordoba_par::supervise`]: every long-running pipeline here accepts a
-//! [`Supervisor`] and, instead of running all-or-nothing, keeps a
-//! [`Slots`] table — a *partial result keyed by input index* — that
-//! resumes later and lands on the exact bits an uninterrupted run would
-//! have produced. Each pipeline only adds its own failure policy on top of
-//! [`Slots::advance`].
+//! [`cordoba_par::supervise`]. Only the two stages the CLI's `dse` runs
+//! under `--deadline` or `--lenient` accept a [`Supervisor`]; every other
+//! pipeline (Monte Carlo, the β solver, SoC provisioning, the event
+//! simulator) runs to completion. Instead of running all-or-nothing, each
+//! supervised stage keeps a [`Slots`] table — a *partial result keyed by
+//! input index* — that resumes later and lands on the exact bits an
+//! uninterrupted run would have produced, and only adds its own failure
+//! policy on top of [`Slots::advance`].
 //!
 //! * [`evaluate_space_supervised`] — design-space characterization with
 //!   per-configuration slots (done / quarantined / pending) and in-place
@@ -46,7 +48,7 @@ use std::fmt::Write as _;
 /// The first failure of a [`Slots::advance`] (failures come back in
 /// ascending index order, so this is the first in input order) as an
 /// error, with a panic becoming [`CoreError::Panicked`].
-pub(crate) fn first_failure(failures: Vec<(usize, Failure<CoreError>)>) -> Result<(), CoreError> {
+fn first_failure(failures: Vec<(usize, Failure<CoreError>)>) -> Result<(), CoreError> {
     match failures.into_iter().next() {
         Some((_, failure)) => Err(failure.into_error(CoreError::Panicked)),
         None => Ok(()),

@@ -1,16 +1,12 @@
 //! Uncertainty analyses: domain studies (Fig. 6) and robustness to
 //! unknown usage and grid intensity (§VI-C).
 
-use crate::error::CoreError;
 use crate::metrics::{DesignPoint, OperationalContext};
 use crate::stats::log_pearson;
-use crate::supervise::first_failure;
 use cordoba_carbon::integral::CiIntegral;
 use cordoba_carbon::intensity::{grids, CiSource};
 use cordoba_carbon::units::{CarbonIntensity, Seconds};
 use cordoba_carbon::CarbonError;
-use cordoba_par::supervise::{Slots, Supervisor};
-use cordoba_par::CostHint;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -361,11 +357,10 @@ pub struct MonteCarloSummary {
     pub max: f64,
 }
 
-/// Per-block partial moments of a Monte Carlo run (opaque), combined
-/// sequentially in block order so the final statistics are bit-identical
-/// at every thread count.
+/// Per-block partial moments, combined sequentially in block order so the
+/// final statistics are bit-identical at every thread count.
 #[derive(Debug, Clone, PartialEq)]
-pub struct McPartial {
+struct McPartial {
     sum: f64,
     sum_sq: f64,
     min: f64,
@@ -418,7 +413,7 @@ fn summarize<'a>(
 }
 
 /// Moments of one design's tCDP over the scenarios of RNG block `block`:
-/// the per-block kernel of [`monte_carlo_tcdp`] and its supervised twin.
+/// the per-block kernel of [`monte_carlo_tcdp`].
 fn tcdp_block(point: &DesignPoint, spec: &MonteCarloSpec, block: u64) -> McPartial {
     let mut partial = McPartial::empty();
     for ctx in spec.block_scenarios(block) {
@@ -552,7 +547,7 @@ impl SourceMonteCarloSpec {
 }
 
 /// Moments of one design's tCDP over the draws of RNG block `block`: the
-/// per-block kernel of [`monte_carlo_source_tcdp`] and its supervised twin.
+/// per-block kernel of [`monte_carlo_source_tcdp`].
 fn source_block(
     point: &DesignPoint,
     sources: &[&dyn CiIntegral],
@@ -671,7 +666,7 @@ pub fn monte_carlo_regret(
 }
 
 /// Per-design regret sums over the scenarios of RNG block `block`: the
-/// per-block kernel of [`monte_carlo_regret`] and its supervised twin.
+/// per-block kernel of [`monte_carlo_regret`].
 fn regret_block(points: &[DesignPoint], spec: &MonteCarloSpec, block: u64) -> Vec<f64> {
     let mut regret_sums = vec![0.0f64; points.len()];
     for ctx in spec.block_scenarios(block) {
@@ -701,253 +696,11 @@ fn fold_regret<'a>(
     totals
 }
 
-/// Estimated cost of one RNG block: ~40 ns for each of its [`MC_BLOCK`]
-/// scenarios (a scenario draw plus one tCDP evaluation). Steers supervised
-/// chunking only (a regret block scales it by the design count). Kept
-/// apart from the sweep's per-entry hint so that remeasuring the sweep
-/// kernel leaves Monte Carlo scheduling alone.
-const MC_BLOCK_NS: u64 = MC_BLOCK as u64 * 40;
-
-/// The one resume-shape check of the supervised Monte Carlo types: a
-/// resume must draw the same scenario stream length (`samples`, which also
-/// fixes the block count) over the same number of designs as the run it
-/// continues.
-fn check_resume(started: (usize, usize), got: (usize, usize)) -> Result<(), CoreError> {
-    if got == started {
-        return Ok(());
-    }
-    Err(CoreError::Supervision(format!(
-        "resume shape (designs, samples) {got:?} differs from the run's {started:?}"
-    )))
-}
-
-/// A supervised Monte Carlo experiment in flight: per-RNG-block partial
-/// moments keyed by block index, resumable until every block is computed.
-///
-/// Blocks are the experiment's unit of supervision *and* of determinism
-/// (each block's scenarios are a pure function of `(seed, block)`), so a
-/// run interrupted at any block boundary and resumed — even at a different
-/// thread count — folds to the same [`MonteCarloSummary`] bits as an
-/// uninterrupted run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SupervisedMonteCarlo {
-    samples: usize,
-    partials: Slots<McPartial>,
-}
-
-impl SupervisedMonteCarlo {
-    fn fresh(samples: usize) -> Self {
-        Self {
-            samples,
-            partials: Slots::new(samples.div_ceil(MC_BLOCK)),
-        }
-    }
-
-    /// Per-block progress: slot `b` is filled once RNG block `b` is
-    /// computed.
-    #[must_use]
-    pub fn slots(&self) -> &Slots<McPartial> {
-        &self.partials
-    }
-
-    /// The folded summary statistics, or `None` while blocks are pending.
-    #[must_use]
-    pub fn summary(&self) -> Option<MonteCarloSummary> {
-        Some(summarize(self.partials.values()?, self.samples))
-    }
-
-    /// Computes the pending blocks with `block_fn`; the first failing
-    /// block (a panic) aborts with [`CoreError::Panicked`].
-    fn advance(
-        &mut self,
-        samples: usize,
-        sup: &Supervisor,
-        block_fn: impl Fn(u64) -> McPartial + Sync,
-    ) -> Result<(), CoreError> {
-        check_resume((1, self.samples), (1, samples))?;
-        first_failure(
-            self.partials
-                .advance(CostHint::per_item_ns(MC_BLOCK_NS), sup, |block| {
-                    Ok(block_fn(block as u64))
-                }),
-        )
-    }
-
-    /// Computes the still-pending blocks of a constant-CI experiment
-    /// ([`monte_carlo_tcdp_supervised`]) under `sup`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Supervision`] when `spec` does not match the
-    /// run this state came from, and [`CoreError::Panicked`] when a block
-    /// evaluation panics.
-    pub fn resume_tcdp(
-        &mut self,
-        point: &DesignPoint,
-        spec: &MonteCarloSpec,
-        sup: &Supervisor,
-    ) -> Result<(), CoreError> {
-        self.advance(spec.samples, sup, |block| tcdp_block(point, spec, block))
-    }
-
-    /// Computes the still-pending blocks of a time-varying-source
-    /// experiment ([`monte_carlo_source_tcdp_supervised`]) under `sup`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Supervision`] when `spec` does not match the
-    /// run this state came from, and [`CoreError::Panicked`] when a block
-    /// evaluation panics.
-    pub fn resume_source(
-        &mut self,
-        point: &DesignPoint,
-        sources: &[&dyn CiIntegral],
-        spec: &SourceMonteCarloSpec,
-        sup: &Supervisor,
-    ) -> Result<(), CoreError> {
-        self.advance(spec.samples, sup, |block| {
-            source_block(point, sources, spec, block)
-        })
-    }
-}
-
-/// [`monte_carlo_tcdp`] under a [`Supervisor`]: evaluation stops on
-/// cancellation or deadline exhaustion at an RNG-block boundary and the
-/// returned state resumes via [`SupervisedMonteCarlo::resume_tcdp`]. A
-/// worker panic is isolated per block and surfaced as
-/// [`CoreError::Panicked`]. Completed blocks are bit-identical at every
-/// thread count.
-///
-/// # Errors
-///
-/// Returns an error for a zero-sample spec, invalid scenario bounds, or a
-/// panicking block evaluation.
-pub fn monte_carlo_tcdp_supervised(
-    point: &DesignPoint,
-    spec: &MonteCarloSpec,
-    sup: &Supervisor,
-) -> Result<SupervisedMonteCarlo, CoreError> {
-    let _span = cordoba_obs::span_with(
-        "core/monte_carlo_tcdp_supervised",
-        "samples",
-        u64::try_from(spec.samples).unwrap_or(u64::MAX),
-    );
-    spec.validate()?;
-    let mut mc = SupervisedMonteCarlo::fresh(spec.samples);
-    mc.resume_tcdp(point, spec, sup)?;
-    Ok(mc)
-}
-
-/// [`monte_carlo_source_tcdp`] under a [`Supervisor`]; resumes via
-/// [`SupervisedMonteCarlo::resume_source`]. Completed blocks are
-/// bit-identical at every thread count.
-///
-/// # Errors
-///
-/// Returns an error for a zero-sample spec, an empty source set, invalid
-/// scenario bounds, or a panicking block evaluation.
-pub fn monte_carlo_source_tcdp_supervised(
-    point: &DesignPoint,
-    sources: &[&dyn CiIntegral],
-    spec: &SourceMonteCarloSpec,
-    sup: &Supervisor,
-) -> Result<SupervisedMonteCarlo, CoreError> {
-    let _span = cordoba_obs::span_with(
-        "core/monte_carlo_source_tcdp_supervised",
-        "samples",
-        u64::try_from(spec.samples).unwrap_or(u64::MAX),
-    );
-    spec.validate(sources.len())?;
-    let mut mc = SupervisedMonteCarlo::fresh(spec.samples);
-    mc.resume_source(point, sources, spec, sup)?;
-    Ok(mc)
-}
-
-/// A supervised regret experiment in flight: per-RNG-block regret sums
-/// keyed by block index, resumable until every block is computed. Folds to
-/// bits identical to [`monte_carlo_regret`] once complete.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SupervisedRegret {
-    n_points: usize,
-    samples: usize,
-    partials: Slots<Vec<f64>>,
-}
-
-impl SupervisedRegret {
-    /// Per-block progress: slot `b` is filled once RNG block `b` is
-    /// computed.
-    #[must_use]
-    pub fn slots(&self) -> &Slots<Vec<f64>> {
-        &self.partials
-    }
-
-    /// The per-design mean regrets, or `None` while blocks are pending.
-    #[must_use]
-    pub fn regrets(&self) -> Option<Vec<f64>> {
-        let partials = self.partials.values()?.map(Vec::as_slice);
-        Some(fold_regret(self.n_points, self.samples, partials))
-    }
-
-    /// Computes the still-pending blocks under `sup`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Supervision`] when `points`/`spec` do not match
-    /// the run this state came from, and [`CoreError::Panicked`] when a
-    /// block evaluation panics.
-    pub fn resume(
-        &mut self,
-        points: &[DesignPoint],
-        spec: &MonteCarloSpec,
-        sup: &Supervisor,
-    ) -> Result<(), CoreError> {
-        check_resume((self.n_points, self.samples), (points.len(), spec.samples))?;
-        let hint = CostHint::per_item_ns(MC_BLOCK_NS.saturating_mul(points.len() as u64));
-        first_failure(self.partials.advance(hint, sup, |block| {
-            Ok(regret_block(points, spec, block as u64))
-        }))
-    }
-}
-
-/// [`monte_carlo_regret`] under a [`Supervisor`]; resumes via
-/// [`SupervisedRegret::resume`]. Completed blocks are bit-identical at
-/// every thread count.
-///
-/// # Errors
-///
-/// Returns an error for an empty point list, a zero-sample spec, invalid
-/// scenario bounds, or a panicking block evaluation.
-pub fn monte_carlo_regret_supervised(
-    points: &[DesignPoint],
-    spec: &MonteCarloSpec,
-    sup: &Supervisor,
-) -> Result<SupervisedRegret, CoreError> {
-    let _span = cordoba_obs::span_with(
-        "core/monte_carlo_regret_supervised",
-        "samples",
-        u64::try_from(spec.samples).unwrap_or(u64::MAX),
-    );
-    if points.is_empty() {
-        return Err(CoreError::Carbon(CarbonError::Empty {
-            what: "design points",
-        }));
-    }
-    spec.validate()?;
-    let mut regret = SupervisedRegret {
-        n_points: points.len(),
-        samples: spec.samples,
-        partials: Slots::new(spec.samples.div_ceil(MC_BLOCK)),
-    };
-    regret.resume(points, spec, sup)?;
-    Ok(regret)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cordoba_carbon::intensity::{ConstantCi, TrendCi};
     use cordoba_carbon::units::{GramsCo2e, Joules, SquareCentimeters, JOULES_PER_KILOWATT_HOUR};
-    use cordoba_par::supervise::StopReason;
 
     fn point(name: &str, d: f64, e: f64, emb: f64) -> DesignPoint {
         DesignPoint::new(
@@ -1217,111 +970,5 @@ mod tests {
             0
         )
         .is_err());
-    }
-
-    #[test]
-    fn supervised_monte_carlo_matches_unsupervised_when_unbounded() {
-        let p = point("x", 1.0, 2.0, 500.0);
-        let spec = MonteCarloSpec::new(300, 11);
-        let (direct, mc) = cordoba_par::with_threads(2, || {
-            let direct = monte_carlo_tcdp(&p, &spec).unwrap();
-            let sup = Supervisor::unbounded();
-            (
-                direct,
-                monte_carlo_tcdp_supervised(&p, &spec, &sup).unwrap(),
-            )
-        });
-        assert!(mc.slots().is_complete());
-        assert_eq!(mc.summary().unwrap(), direct);
-    }
-
-    #[test]
-    fn interrupted_monte_carlo_resumes_to_identical_bits() {
-        let p = point("x", 1.0, 2.0, 500.0);
-        // 300 samples = 5 blocks of 64 (last short).
-        let spec = MonteCarloSpec::new(300, 11);
-        let direct = cordoba_par::with_threads(1, || monte_carlo_tcdp(&p, &spec)).unwrap();
-        for trip in [0u64, 1, 3] {
-            let sup = Supervisor::tripping_after(trip);
-            let mut mc =
-                cordoba_par::with_threads(1, || monte_carlo_tcdp_supervised(&p, &spec, &sup))
-                    .unwrap();
-            assert_eq!(
-                mc.slots().stop(),
-                Some(StopReason::Cancelled),
-                "trip {trip}"
-            );
-            assert_eq!(mc.slots().completed(), trip as usize);
-            assert!(mc.summary().is_none());
-            cordoba_par::with_threads(2, || mc.resume_tcdp(&p, &spec, &Supervisor::unbounded()))
-                .unwrap();
-            assert!(mc.slots().is_complete());
-            assert_eq!(mc.summary().unwrap(), direct, "trip {trip}");
-        }
-    }
-
-    #[test]
-    fn supervised_source_monte_carlo_resumes_exactly() {
-        let p = point("x", 1.0, 2.0, 500.0);
-        let (coal, trend) = source_set();
-        let sources: [&dyn CiIntegral; 2] = [&coal, &trend];
-        let spec = SourceMonteCarloSpec::new(200, 7);
-        let exact =
-            cordoba_par::with_threads(1, || monte_carlo_source_tcdp(&p, &sources, &spec)).unwrap();
-        let sup = Supervisor::tripping_after(1);
-        let mut mc = cordoba_par::with_threads(1, || {
-            monte_carlo_source_tcdp_supervised(&p, &sources, &spec, &sup)
-        })
-        .unwrap();
-        assert!(!mc.slots().is_complete());
-        cordoba_par::with_threads(2, || {
-            mc.resume_source(&p, &sources, &spec, &Supervisor::unbounded())
-        })
-        .unwrap();
-        assert_eq!(mc.summary().unwrap(), exact);
-    }
-
-    #[test]
-    fn supervised_regret_resumes_exactly() {
-        let pts = space();
-        let spec = MonteCarloSpec::new(256, 3);
-        let direct = cordoba_par::with_threads(1, || monte_carlo_regret(&pts, &spec)).unwrap();
-        let sup = Supervisor::tripping_after(2);
-        let mut regret =
-            cordoba_par::with_threads(1, || monte_carlo_regret_supervised(&pts, &spec, &sup))
-                .unwrap();
-        assert_eq!(regret.slots().stop(), Some(StopReason::Cancelled));
-        assert_eq!(regret.slots().completed(), 2);
-        assert_eq!(regret.slots().total(), 4);
-        assert!(regret.regrets().is_none());
-        cordoba_par::with_threads(2, || regret.resume(&pts, &spec, &Supervisor::unbounded()))
-            .unwrap();
-        assert_eq!(regret.regrets().unwrap(), direct);
-    }
-
-    #[test]
-    fn supervised_monte_carlo_rejects_mismatched_resume() {
-        let p = point("x", 1.0, 2.0, 500.0);
-        let spec = MonteCarloSpec::new(300, 11);
-        let sup = Supervisor::tripping_after(1);
-        let mut mc =
-            cordoba_par::with_threads(1, || monte_carlo_tcdp_supervised(&p, &spec, &sup)).unwrap();
-        let other = MonteCarloSpec::new(301, 11);
-        assert!(mc
-            .resume_tcdp(&p, &other, &Supervisor::unbounded())
-            .is_err());
-        let pts = space();
-        let sup = Supervisor::tripping_after(1);
-        let mut regret = cordoba_par::with_threads(1, || {
-            monte_carlo_regret_supervised(&pts, &MonteCarloSpec::new(256, 3), &sup)
-        })
-        .unwrap();
-        assert!(regret
-            .resume(
-                &pts[..2],
-                &MonteCarloSpec::new(256, 3),
-                &Supervisor::unbounded(),
-            )
-            .is_err());
     }
 }

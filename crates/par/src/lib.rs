@@ -41,8 +41,10 @@
 //! let squares = cordoba_par::par_map(&[1u64, 2, 3, 4], |x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //!
-//! let sums = cordoba_par::par_map_indexed(&["a", "bb"], |i, s| s.len() + i);
-//! assert_eq!(sums, vec![1, 3]);
+//! let hint = cordoba_par::CostHint::per_item_ns(1_000);
+//! let sums: Result<Vec<usize>, ()> =
+//!     cordoba_par::try_par_map_indexed_hinted(&["a", "bb"], hint, |i, s| Ok(s.len() + i));
+//! assert_eq!(sums.unwrap(), vec![1, 3]);
 //!
 //! let parsed: Result<Vec<i32>, _> =
 //!     cordoba_par::try_par_map(&["1", "2"], |s| s.parse::<i32>());
@@ -217,7 +219,7 @@ pub fn effective_threads() -> usize {
 /// Spawns `work` on `scope` under the calling thread's [`with_threads`]
 /// count, so a map nested inside a worker resolves the same count as its
 /// parent map did.
-pub(crate) fn spawn_inheriting<'scope, R, W>(
+fn spawn_inheriting<'scope, R, W>(
     scope: &'scope std::thread::Scope<'scope, '_>,
     work: W,
 ) -> std::thread::ScopedJoinHandle<'scope, R>
@@ -234,49 +236,26 @@ where
 
 /// Maps `f` over `items` in parallel, preserving input order.
 ///
-/// Equivalent to `items.iter().map(f).collect()` for any pure `f`; uses
-/// [`effective_threads`] workers.
+/// Equivalent to `items.iter().map(f).collect()` for any pure `f`. The
+/// input is split into at most [`effective_threads`] contiguous chunks;
+/// each worker maps its chunk front to back and the chunk results are
+/// concatenated in chunk order, so the output order (and, for a pure `f`,
+/// every bit of the output) is independent of the thread count.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map_indexed(items, |_, item| f(item))
+    chunked_map(items, length_workers(items.len()), |_, item| f(item))
 }
 
-/// Maps `f(index, item)` over `items` in parallel, preserving input order.
-///
-/// The input is split into at most [`effective_threads`] contiguous chunks;
-/// each worker maps its chunk front to back and the chunk results are
-/// concatenated in chunk order, so the output order (and, for a pure `f`,
-/// every bit of the output) is independent of the thread count.
-pub fn par_map_indexed<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    chunked_map(items, length_workers(items.len()), f)
-}
-
-/// [`par_map_indexed`] steered by a [`CostHint`] instead of the
-/// length-only [`MIN_PARALLEL_LEN`] cutoff: the map stays sequential until
-/// the estimated total work pays for spawning, and then uses only as many
-/// workers as keep each chunk's work above the spawn cost. Output is
-/// bit-identical to [`par_map_indexed`] for any pure `f`.
-pub fn par_map_indexed_hinted<T, R, F>(items: &[T], hint: CostHint, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    chunked_map(items, hint.workers(items.len(), effective_threads()), f)
-}
-
-/// [`try_par_map`] steered by a [`CostHint`] (see
-/// [`par_map_indexed_hinted`]), with the closure also receiving the item
-/// index.
+/// [`try_par_map`] steered by a [`CostHint`] instead of the length-only
+/// [`MIN_PARALLEL_LEN`] cutoff, with the closure also receiving the item
+/// index: the map stays sequential until the estimated total work pays
+/// for spawning, and then uses only as many workers as keep each chunk's
+/// work above the spawn cost. The result is identical to [`try_par_map`]'s
+/// for any pure `f`.
 ///
 /// # Errors
 ///
@@ -293,12 +272,14 @@ where
     E: Send,
     F: Fn(usize, &T) -> Result<R, E> + Sync,
 {
-    par_map_indexed_hinted(items, hint, f).into_iter().collect()
+    chunked_map(items, hint.workers(items.len(), effective_threads()), f)
+        .into_iter()
+        .collect()
 }
 
 /// The pre-`CostHint` worker-count rule: [`effective_threads`], except
 /// that short inputs run sequentially.
-pub(crate) fn length_workers(len: usize) -> usize {
+fn length_workers(len: usize) -> usize {
     let threads = effective_threads().clamp(1, len.max(1));
     if threads == 1 || len < MIN_PARALLEL_LEN {
         1
@@ -308,19 +289,47 @@ pub(crate) fn length_workers(len: usize) -> usize {
 }
 
 /// Order-preserving chunked map over exactly `workers` contiguous chunks
-/// (1 = the sequential path); the shared engine behind every unsupervised
-/// map variant.
+/// (1 = the sequential path); the engine behind every unsupervised map.
 fn chunked_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
+    run_chunks(items, workers, "par/chunk", |base, chunk| {
+        chunk
+            .iter()
+            .enumerate()
+            .map(|(offset, item)| f(base + offset, item))
+            .collect()
+    })
+}
+
+/// The one spawn → join → merge loop behind every map in this crate.
+///
+/// Splits `items` into exactly `workers` contiguous chunks and runs
+/// `chunk_fn(base, chunk)` on each, where `base` is the chunk's first input
+/// index and the output holds one value per chunk item. One worker runs the
+/// whole input inline on the calling thread; otherwise each chunk gets a
+/// scoped worker under a `span` trace span, and the chunk outputs are
+/// concatenated in input order. A worker panic is re-raised on the caller,
+/// matching the inline path's behavior.
+pub(crate) fn run_chunks<T, R, C>(
+    items: &[T],
+    workers: usize,
+    span: &'static str,
+    chunk_fn: C,
+) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    C: Fn(usize, &[T]) -> Vec<R> + Sync,
+{
     if workers <= 1 {
-        return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
+        return chunk_fn(0, items);
     }
     let chunk_len = items.len().div_ceil(workers);
-    let f = &f;
+    let chunk_fn = &chunk_fn;
     std::thread::scope(|scope| {
         let handles: Vec<_> = items
             .chunks(chunk_len)
@@ -332,15 +341,11 @@ where
                     // touches the mapped values, so results stay
                     // bit-identical with tracing on or off.
                     let _span = cordoba_obs::span_with(
-                        "par/chunk",
+                        span,
                         "items",
                         u64::try_from(chunk.len()).unwrap_or(u64::MAX),
                     );
-                    chunk
-                        .iter()
-                        .enumerate()
-                        .map(|(offset, item)| f(base + offset, item))
-                        .collect::<Vec<R>>()
+                    chunk_fn(base, chunk)
                 })
             })
             .collect();
@@ -348,8 +353,6 @@ where
         for handle in handles {
             match handle.join() {
                 Ok(part) => out.extend(part),
-                // Re-raise a worker panic on the caller, matching the
-                // sequential path's behavior.
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }
@@ -386,12 +389,16 @@ mod tests {
         let items: Vec<u64> = (0..1000).collect();
         let expected: Vec<u64> = items.iter().map(|x| x.wrapping_mul(31) ^ 7).collect();
         for threads in [1, 2, 3, 4, 7, 64, 1000, 5000] {
+            // A hint heavy enough that the worker count follows the thread
+            // count, as the length rule would.
+            let hint = CostHint::per_item_ns(CostHint::TARGET_CHUNK_NS);
             let got = with_threads(threads, || {
-                par_map_indexed(&items, |i, x| {
+                try_par_map_indexed_hinted(&items, hint, |i, x| {
                     assert_eq!(*x, i as u64);
-                    x.wrapping_mul(31) ^ 7
+                    Ok::<_, ()>(x.wrapping_mul(31) ^ 7)
                 })
-            });
+            })
+            .unwrap();
             assert_eq!(got, expected, "threads = {threads}");
         }
     }
@@ -562,8 +569,9 @@ mod tests {
             for hint_ns in [1, 1_000, 10_000_000] {
                 let hint = CostHint::per_item_ns(hint_ns);
                 let got: Vec<u64> = with_threads(threads, || {
-                    par_map_indexed_hinted(&items, hint, |_, x| work(x).to_bits())
-                });
+                    try_par_map_indexed_hinted(&items, hint, |_, x| Ok::<_, ()>(work(x).to_bits()))
+                })
+                .unwrap();
                 assert_eq!(got, seq, "threads = {threads}, hint = {hint_ns}");
             }
         }
@@ -587,10 +595,11 @@ mod tests {
         // 100 items x 1 ns is far below the threshold despite exceeding
         // MIN_PARALLEL_LEN.
         let ids = with_threads(8, || {
-            par_map_indexed_hinted(&items, CostHint::per_item_ns(1), |_, _| {
-                std::thread::current().id()
+            try_par_map_indexed_hinted(&items, CostHint::per_item_ns(1), |_, _| {
+                Ok::<_, ()>(std::thread::current().id())
             })
-        });
+        })
+        .unwrap();
         assert!(ids.iter().all(|id| *id == caller));
     }
 

@@ -1,8 +1,8 @@
 //! Execution supervision for long-running parallel work.
 //!
-//! A [`Supervisor`] is a cheap, cloneable handle combining three concerns
-//! that every long-running CORDOBA pipeline (design-space sweeps, β-solves,
-//! Monte Carlo runs, event simulation) needs but none owned until now:
+//! A [`Supervisor`] is a cheap, cloneable handle combining the three
+//! concerns a pipeline run under a budget needs (in CORDOBA, design-space
+//! evaluation and the operational-time sweep):
 //!
 //! * **cooperative cancellation** — [`Supervisor::cancel`] requests a stop;
 //!   workers observe it at the next item boundary via
@@ -14,7 +14,7 @@
 //!   events recorded through `cordoba-obs`.
 //!
 //! [`par_map_supervised`] is the supervised sibling of
-//! [`crate::par_map_indexed_hinted`]: same cost-steered contiguous
+//! [`crate::try_par_map_indexed_hinted`]: same cost-steered contiguous
 //! chunking, same input-order merge, plus per-item panic isolation
 //! (`std::panic::catch_unwind`) and cooperative stop checks before every
 //! item. It returns a [`SupervisedMap`] recording, per input index, whether
@@ -526,7 +526,7 @@ where
     out
 }
 
-/// Supervised sibling of [`crate::par_map_indexed_hinted`]: cooperative
+/// Supervised sibling of [`crate::try_par_map_indexed_hinted`]: cooperative
 /// stop checks before every item, per-item panic isolation and an
 /// input-order merge, on as many workers as the [`crate::CostHint`] says
 /// the estimated work pays for.
@@ -548,41 +548,11 @@ where
     F: Fn(usize, &T) -> R + Sync,
 {
     let workers = hint.workers(items.len(), crate::effective_threads());
-    let outcomes = if workers <= 1 {
-        supervised_chunk(0, items, sup, &f)
-    } else {
-        let chunk_len = items.len().div_ceil(workers);
-        let f = &f;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = items
-                .chunks(chunk_len)
-                .enumerate()
-                .map(|(chunk_idx, chunk)| {
-                    let base = chunk_idx * chunk_len;
-                    let sup = sup.clone();
-                    crate::spawn_inheriting(scope, move || {
-                        let _span = cordoba_obs::span_with(
-                            "par/supervised_chunk",
-                            "items",
-                            u64::try_from(chunk.len()).unwrap_or(u64::MAX),
-                        );
-                        supervised_chunk(base, chunk, &sup, f)
-                    })
-                })
-                .collect();
-            let mut out = Vec::with_capacity(items.len());
-            for handle in handles {
-                match handle.join() {
-                    Ok(part) => out.extend(part),
-                    // Workers isolate item panics, so a join failure means
-                    // a panic outside `f` (e.g. in obs plumbing) — re-raise
-                    // it like the unsupervised map does.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-            out
-        })
-    };
+    // Workers isolate item panics, so a panic the engine re-raises comes
+    // from outside `f` (e.g. obs plumbing), as in the unsupervised map.
+    let outcomes = crate::run_chunks(items, workers, "par/supervised_chunk", |base, chunk| {
+        supervised_chunk(base, chunk, sup, &f)
+    });
     let any_skipped = outcomes.iter().any(|o| matches!(o, Outcome::Skipped));
     let stop = if any_skipped {
         // A skip implies a latched cancel, a tripped threshold, or an

@@ -13,8 +13,6 @@ use cordoba_carbon::lifetime::UsageProfile;
 use cordoba_carbon::operational::operational_carbon;
 use cordoba_carbon::units::{CarbonIntensity, GramSecondsCo2e, GramsCo2e, Joules, Seconds};
 use cordoba_carbon::CarbonError;
-use cordoba_par::supervise::{Failure, Slots, StopReason, Supervisor};
-use cordoba_par::CostHint;
 use serde::{Deserialize, Serialize};
 
 /// Deployment assumptions for the provisioning study.
@@ -98,94 +96,8 @@ pub fn sweep(app: &VrApp, deployment: &Deployment) -> Result<Vec<ProvisioningRow
     })
 }
 
-/// Measured cost of one provisioning row (trace replay plus embodied and
-/// operational carbon): ~0.7 µs per core count in release builds on a
-/// 2-vCPU Intel Xeon host. Only steers the supervised sweep's chunking; the
-/// five-row sweep stays on the calling thread.
-const NS_PER_ROW: u64 = 700;
-
-/// A supervised provisioning sweep in flight: one slot per core count,
-/// resumable until every configuration is evaluated.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SupervisedProvisioning {
-    core_counts: Vec<u32>,
-    slots: Slots<ProvisioningRow>,
-    panics: Vec<(u32, String)>,
-}
-
-impl SupervisedProvisioning {
-    /// Per-core-count progress: slot `i` is filled once the `i`-th core
-    /// count (ascending from 4) is evaluated.
-    #[must_use]
-    pub fn slots(&self) -> &Slots<ProvisioningRow> {
-        &self.slots
-    }
-
-    /// Core counts whose trace replay panicked during the last
-    /// run/resume, with the isolated panic messages, in ascending core
-    /// order. The process survives; a resume retries these counts.
-    #[must_use]
-    pub fn panicked(&self) -> &[(u32, String)] {
-        &self.panics
-    }
-
-    /// The finished rows in ascending core order, or `None` while
-    /// configurations are pending or quarantined.
-    #[must_use]
-    pub fn rows(&self) -> Option<Vec<ProvisioningRow>> {
-        Some(self.slots.values()?.cloned().collect())
-    }
-
-    /// Evaluates the still-pending core counts under `sup`, merging by
-    /// core-count index. A fresh unbounded supervisor completes the sweep
-    /// with rows bit-identical to [`sweep`]. At one thread a count-tripped
-    /// supervisor stops at an exact configuration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model-construction errors for the first (lowest) failing
-    /// pending core count.
-    pub fn resume(
-        &mut self,
-        app: &VrApp,
-        deployment: &Deployment,
-        sup: &Supervisor,
-    ) -> Result<(), CarbonError> {
-        let usage = UsageProfile::from_daily_hours(deployment.lifetime_years, app.daily_hours)?;
-        let sessions = usage.operational_time().value() / app.session.value();
-        let core_counts = &self.core_counts;
-        let failures = self
-            .slots
-            .advance(CostHint::per_item_ns(NS_PER_ROW), sup, |idx| {
-                provision_row(core_counts[idx], app, deployment, sessions)
-            });
-        self.panics.clear();
-        let mut first_error: Option<CarbonError> = None;
-        for (idx, failure) in failures {
-            match failure {
-                Failure::Error(error) => {
-                    first_error.get_or_insert(error);
-                }
-                // A panicking replay has no carbon-level error variant to
-                // carry its message; quarantine it here (the process
-                // survives) and leave the slot pending so a resume retries.
-                Failure::Panicked(message) => self.panics.push((core_counts[idx], message)),
-            }
-        }
-        if let Some(error) = first_error {
-            return Err(error);
-        }
-        // Quarantined counts are still unresolved: report a
-        // cancellation-shaped stop so a resume knows there is work left.
-        if self.slots.stop().is_none() && !self.panics.is_empty() {
-            self.slots.set_stop(Some(StopReason::Cancelled));
-        }
-        Ok(())
-    }
-}
-
-/// One provisioning row for a single core count (shared by [`sweep`] and
-/// the supervised sweep, so both produce identical bits).
+/// One provisioning row for a single core count: the per-row kernel of
+/// [`sweep`].
 fn provision_row(
     cores: u32,
     app: &VrApp,
@@ -212,32 +124,6 @@ fn provision_row(
         tcdp: total * duration,
         edp: energy.value() * duration.value(),
     })
-}
-
-/// [`sweep`] under a [`Supervisor`]: cancellation and deadline are checked
-/// before each core count's trace replay, a panicking replay is isolated
-/// into a structured error instead of aborting, and an interrupted sweep
-/// resumes in place via [`SupervisedProvisioning::resume`]. Completed rows
-/// are bit-identical at every thread count.
-///
-/// # Errors
-///
-/// Propagates model-construction errors (cannot occur for the default
-/// deployment).
-pub fn sweep_supervised(
-    app: &VrApp,
-    deployment: &Deployment,
-    sup: &Supervisor,
-) -> Result<SupervisedProvisioning, CarbonError> {
-    let _span = cordoba_obs::span("soc/provisioning_sweep_supervised");
-    let core_counts: Vec<u32> = (4..=8).collect();
-    let mut sweep = SupervisedProvisioning {
-        slots: Slots::new(core_counts.len()),
-        core_counts,
-        panics: Vec::new(),
-    };
-    sweep.resume(app, deployment, sup)?;
-    Ok(sweep)
 }
 
 /// The core count with the lowest tCDP in `rows`.
@@ -315,46 +201,6 @@ mod tests {
             (1.02..1.25).contains(&improvement),
             "All-tasks improvement {improvement}"
         );
-    }
-
-    #[test]
-    fn supervised_sweep_matches_unsupervised_when_unbounded() {
-        let direct = sweep(&VrApp::m1(), &Deployment::default()).unwrap();
-        let sup = Supervisor::unbounded();
-        let supervised = sweep_supervised(&VrApp::m1(), &Deployment::default(), &sup).unwrap();
-        assert!(supervised.slots().is_complete());
-        assert!(supervised.panicked().is_empty());
-        assert_eq!(supervised.rows().unwrap(), direct);
-    }
-
-    #[test]
-    fn interrupted_provisioning_resumes_to_identical_rows() {
-        let direct = sweep(&VrApp::b1(), &Deployment::default()).unwrap();
-        for trip in [0u64, 2, 4] {
-            let sup = Supervisor::tripping_after(trip);
-            let mut supervised = cordoba_par::with_threads(1, || {
-                sweep_supervised(&VrApp::b1(), &Deployment::default(), &sup)
-            })
-            .unwrap();
-            assert_eq!(
-                supervised.slots().stop(),
-                Some(StopReason::Cancelled),
-                "trip {trip}"
-            );
-            assert!(supervised.rows().is_none());
-            assert_eq!(supervised.slots().completed(), trip as usize);
-            cordoba_par::with_threads(2, || {
-                supervised.resume(
-                    &VrApp::b1(),
-                    &Deployment::default(),
-                    &Supervisor::unbounded(),
-                )
-            })
-            .unwrap();
-            assert!(supervised.slots().is_complete());
-            assert_eq!(supervised.slots().completed(), supervised.slots().total());
-            assert_eq!(supervised.rows().unwrap(), direct, "trip {trip}");
-        }
     }
 
     #[test]

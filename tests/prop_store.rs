@@ -126,14 +126,6 @@ fn warm_start_is_bit_identical_to_fresh_compute_at_every_thread_count() {
                 "case {case}: warm sweep threads={threads}"
             );
         }
-        // Beta elimination round-trips through its stored form too.
-        let cold_beta = beta_sweep_stored(&fresh, &store);
-        assert_eq!(cold_beta, BetaSweep::run(&fresh), "case {case}: beta");
-        assert_eq!(
-            beta_sweep_stored(&fresh, &store),
-            cold_beta,
-            "case {case}: warm beta"
-        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

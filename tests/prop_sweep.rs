@@ -16,7 +16,10 @@
 //! must agree with the references.
 //!
 //! Like `prop_store.rs`, these are hand-rolled seeded generators driving
-//! explicit case loops through `StdRng` streams.
+//! explicit case loops through `StdRng` streams. The last test pins the
+//! paper's §IV-B theorem on the accelerator space itself: every design
+//! the sweep ever finds optimal lies on the (`C_emb·D`, `E·D`) Pareto
+//! front.
 
 use cordoba::prelude::*;
 use cordoba_carbon::units::{CarbonIntensity, GramsCo2e, Joules, Seconds, SquareCentimeters};
@@ -408,5 +411,57 @@ fn the_first_invalid_task_count_still_wins() {
             format!("{:?}", OperationalContext::new(-1.0, ci).unwrap_err()),
             "threads={threads}"
         );
+    }
+}
+
+#[test]
+fn every_ever_optimal_design_lies_on_the_pareto_front() {
+    // §IV-B: tCDP(n) = C_emb·D + n·CI_use·E·D is a nonnegative blend of the
+    // two Fig. 12 objectives, so every row optimum of the operational-time
+    // sweep is Pareto-optimal in (C_emb·D, E·D), and BetaSweep's front is
+    // exactly that front. Checked over the accelerator space for every
+    // task and every named CLI grid.
+    use cordoba_accel::space::design_space;
+    use cordoba_carbon::embodied::EmbodiedModel;
+    use cordoba_carbon::intensity::grids;
+    use cordoba_workloads::task::Task;
+
+    let tasks = [
+        Task::all_kernels(),
+        Task::xr_10_kernels(),
+        Task::ai_10_kernels(),
+        Task::xr_5_kernels(),
+        Task::ai_5_kernels(),
+    ];
+    let named_grids = [
+        ("coal", grids::COAL),
+        ("gas", grids::GAS),
+        ("world", grids::WORLD_AVERAGE),
+        ("us", grids::US_AVERAGE),
+        ("solar", grids::SOLAR),
+        ("wind", grids::WIND),
+        ("hydro", grids::HYDRO),
+        ("nuclear", grids::NUCLEAR),
+    ];
+    let configs = design_space();
+    for task in &tasks {
+        let points = evaluate_space(&configs, task, &EmbodiedModel::default()).unwrap();
+        let objectives: Vec<Point2> = points.iter().map(cordoba::lagrange::objectives).collect();
+        let front = pareto_indices(&objectives);
+        let front_names: BTreeSet<&str> = front.iter().map(|&i| points[i].name.as_str()).collect();
+        assert_eq!(
+            BetaSweep::run(&points).pareto,
+            front,
+            "{task}: BetaSweep front"
+        );
+        for (grid, ci) in named_grids {
+            let sweep = OpTimeSweep::new(points.clone(), log_sweep(2, 12, 4), ci).unwrap();
+            for name in sweep.ever_optimal() {
+                assert!(
+                    front_names.contains(name.as_str()),
+                    "{task} on {grid}: optimal design {name} is off the Pareto front"
+                );
+            }
+        }
     }
 }
